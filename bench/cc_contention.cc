@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "objalloc/cc/serializer.h"
-#include "objalloc/core/object_manager.h"
+#include "objalloc/core/object_service.h"
 #include "objalloc/util/csv.h"
 #include "objalloc/util/rng.h"
 
@@ -46,17 +46,18 @@ int main() {
     cc::SerializerResult serialized = serializer.Run(transactions, 11);
 
     auto total_cost = [&](core::AlgorithmKind kind) {
-      core::ObjectManager manager(kSites, sc);
+      core::ObjectService service(kSites, sc,
+                                  core::ServiceOptions{.num_shards = 1});
       core::ObjectConfig config;
       config.initial_scheme = model::ProcessorSet{0, 1};
       config.algorithm = kind;
       for (const auto& [object, schedule] : serialized.schedules) {
-        OBJALLOC_CHECK(manager.AddObject(object, config).ok());
+        OBJALLOC_CHECK(service.AddObject(object, config).ok());
         for (const auto& request : schedule.requests()) {
-          OBJALLOC_CHECK(manager.Serve(object, request).ok());
+          OBJALLOC_CHECK(service.Serve(object, request).ok());
         }
       }
-      return manager.TotalCost();
+      return service.TotalCost();
     };
     double sa_cost = total_cost(core::AlgorithmKind::kStatic);
     double da_cost = total_cost(core::AlgorithmKind::kDynamic);

@@ -185,8 +185,11 @@ void BM_ServiceBatchIdPath(benchmark::State& state) {
   }
   core::BatchResult result;
   for (auto _ : state) {
-    util::Status status = service.ServeBatchInto(
-        std::span<const workload::MultiObjectEvent>(trace.events), &result);
+    core::BatchTicket ticket;
+    util::Status status = service.SubmitBatch(
+        std::span<const workload::MultiObjectEvent>(trace.events), &result,
+        &ticket);
+    if (status.ok()) status = service.WaitBatch(&ticket);
     if (!status.ok()) std::abort();
     benchmark::DoNotOptimize(result.cost);
   }
@@ -218,8 +221,10 @@ void BM_ServiceBatchHandles(benchmark::State& state) {
   }
   core::BatchResult result;
   for (auto _ : state) {
-    util::Status status = service.ServeBatchInto(
-        std::span<const core::HandleEvent>(events), &result);
+    core::BatchTicket ticket;
+    util::Status status = service.SubmitBatch(
+        std::span<const core::HandleEvent>(events), &result, &ticket);
+    if (status.ok()) status = service.WaitBatch(&ticket);
     if (!status.ok()) std::abort();
     benchmark::DoNotOptimize(result.cost);
   }

@@ -1,8 +1,8 @@
 // Throughput scaling of the sharded, batched ObjectService: events/sec over
-// a multi-object trace at a sweep of shard counts x thread counts, plus the
-// serial ObjectManager baseline. Results are written as a machine-readable
-// JSON artifact (BENCH_service_scaling.json) so the repo's perf trajectory
-// accumulates across PRs.
+// a multi-object trace at a sweep of shard counts x thread counts, plus a
+// serial one-event-at-a-time baseline. Results are written as a
+// machine-readable JSON artifact (BENCH_service_scaling.json) so the
+// repo's perf trajectory accumulates across PRs.
 //
 // Usage: service_scaling [--out=BENCH_service_scaling.json]
 //                        [--events=1000000] [--objects=512] [--processors=16]
@@ -49,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "objalloc/core/object_manager.h"
 #include "objalloc/core/object_service.h"
 #include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
@@ -232,28 +231,30 @@ int main(int argc, char** argv) {
   const workload::MultiObjectTrace trace =
       workload::GenerateMultiObjectTrace(options, kSeed);
 
-  // Serial baseline: the pre-refactor path, one ObjectManager::Serve call
-  // per event.
+  // Serial baseline: a one-shard service fed one event per SubmitBatch
+  // into a recycled result — the engine without batching or shards.
   double baseline_eps = 0;
   {
     double best = 0;
     for (int r = 0; r < repeats; ++r) {
-      core::ObjectManager manager(processors,
-                                  model::CostModel::StationaryComputing(
-                                      0.25, 1.0));
+      core::ObjectService serial(
+          processors, model::CostModel::StationaryComputing(0.25, 1.0),
+          core::ServiceOptions{.num_shards = 1});
       for (int id = 0; id < objects; ++id) {
-        OBJALLOC_CHECK(manager.AddObject(id, ServiceConfig()).ok());
+        OBJALLOC_CHECK(serial.AddObject(id, ServiceConfig()).ok());
       }
+      core::BatchResult result;
+      core::BatchTicket ticket;
       auto start = std::chrono::steady_clock::now();
       for (const auto& event : trace.events) {
-        OBJALLOC_CHECK(manager.Serve(event.object, event.request).ok());
+        OBJALLOC_CHECK(serial.SubmitBatch({&event, 1}, &result, &ticket).ok());
       }
       auto stop = std::chrono::steady_clock::now();
       double seconds = std::chrono::duration<double>(stop - start).count();
       if (r == 0 || seconds < best) best = seconds;
     }
     baseline_eps = static_cast<double>(events) / best;
-    std::printf("%-28s %10.0f events/sec\n", "ObjectManager (serial)",
+    std::printf("%-28s %10.0f events/sec\n", "1 shard, 1 event/batch",
                 baseline_eps);
   }
 
@@ -331,9 +332,11 @@ int main(int argc, char** argv) {
         auto start = std::chrono::steady_clock::now();
         std::span<const core::HandleEvent> all(handle_events);
         for (size_t pos = 0; pos < all.size(); pos += batch_size) {
-          util::Status status = service.ServeBatchInto(
+          core::BatchTicket ticket;
+          util::Status status = service.SubmitBatch(
               all.subspan(pos, std::min(batch_size, all.size() - pos)),
-              &batch);
+              &batch, &ticket);
+          if (status.ok()) status = service.WaitBatch(&ticket);
           OBJALLOC_CHECK(status.ok()) << status.ToString();
         }
         auto stop = std::chrono::steady_clock::now();

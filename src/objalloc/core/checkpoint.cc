@@ -233,8 +233,7 @@ util::StatusOr<Manifest> ReadManifest(const std::string& dir) {
     return util::Status::Internal("manifest: bad magic");
   }
   OBJALLOC_RETURN_IF_ERROR(reader.Read(&version));
-  if (version < kMinDurabilityFormatVersion ||
-      version > kDurabilityFormatVersion) {
+  if (version != kDurabilityFormatVersion) {
     return util::Status::Internal("manifest: unsupported format version " +
                                   std::to_string(version));
   }
@@ -258,10 +257,10 @@ util::StatusOr<Manifest> ReadManifest(const std::string& dir) {
 }
 
 void BeginCheckpoint(uint64_t sequence, const DurableConfig& config,
-                     std::string* out, uint32_t version) {
+                     std::string* out) {
   std::string payload;
   AppendScalar(kCheckpointMagic, &payload);
-  AppendScalar(version, &payload);
+  AppendScalar(kDurabilityFormatVersion, &payload);
   AppendScalar(sequence, &payload);
   config.AppendTo(&payload);
   AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kCkptHeader),
@@ -269,11 +268,10 @@ void BeginCheckpoint(uint64_t sequence, const DurableConfig& config,
 }
 
 void BeginDeltaCheckpoint(uint64_t sequence, uint64_t parent,
-                          const DurableConfig& config, std::string* out,
-                          uint32_t version) {
+                          const DurableConfig& config, std::string* out) {
   std::string payload;
   AppendScalar(kCheckpointMagic, &payload);
-  AppendScalar(version, &payload);
+  AppendScalar(kDurabilityFormatVersion, &payload);
   AppendScalar(sequence, &payload);
   AppendScalar(parent, &payload);
   config.AppendTo(&payload);
@@ -287,11 +285,6 @@ void AppendServiceStateRecord(const ServiceStateImage& image,
   image.AppendTo(&payload);
   AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kServiceState),
                payload, out);
-}
-
-void AppendShardRecord(std::string_view shard_payload, std::string* out) {
-  AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kShard),
-               shard_payload, out);
 }
 
 void AppendShardChunkRecord(uint32_t shard_index, bool last,
@@ -385,8 +378,7 @@ util::Status CheckpointWriter::Finish(uint32_t shard_count) {
 namespace {
 
 // Upper bound a single checkpoint record may declare before the CRC check
-// runs (mirrors record_io's cap): a v1 monolithic shard record is the
-// largest legitimate payload.
+// runs (mirrors record_io's cap).
 constexpr uint32_t kMaxCheckpointPayload = 1u << 30;
 
 }  // namespace
@@ -413,11 +405,11 @@ util::StatusOr<CheckpointReader> CheckpointReader::Open(
   if (magic != kCheckpointMagic) {
     return util::Status::Internal("checkpoint: bad magic");
   }
-  OBJALLOC_RETURN_IF_ERROR(payload.Read(&reader.version_));
-  if (reader.version_ < kMinDurabilityFormatVersion ||
-      reader.version_ > kDurabilityFormatVersion) {
+  uint32_t version = 0;
+  OBJALLOC_RETURN_IF_ERROR(payload.Read(&version));
+  if (version != kDurabilityFormatVersion) {
     return util::Status::Internal("checkpoint: unsupported format version " +
-                                  std::to_string(reader.version_));
+                                  std::to_string(version));
   }
   OBJALLOC_RETURN_IF_ERROR(payload.Read(&reader.sequence_));
   if (reader.is_delta_) {
@@ -480,18 +472,6 @@ util::Status CheckpointReader::Next(Piece* piece) {
     saw_state_ = true;
     piece->service_state = true;
     piece->state = std::move(*state);
-    return util::Status::Ok();
-  }
-  if (type == static_cast<uint8_t>(CheckpointRecordType::kShard)) {
-    // v1 monolithic shard record: one whole-payload chunk. Accepted at any
-    // version so old-format snapshots restore through this same reader.
-    if (shard_open_) {
-      return util::Status::Internal(
-          "checkpoint: shard record inside a chunked shard");
-    }
-    piece->shard = next_shard_++;
-    piece->last = true;
-    piece->bytes = payload_;
     return util::Status::Ok();
   }
   if (type == static_cast<uint8_t>(CheckpointRecordType::kShardChunk)) {

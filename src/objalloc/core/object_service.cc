@@ -24,10 +24,7 @@ ObjectService::ObjectService(int num_processors,
   OBJALLOC_CHECK(options.Validate().ok()) << options.Validate().ToString();
   shards_.reserve(static_cast<size_t>(options.num_shards));
   for (int s = 0; s < options.num_shards; ++s) {
-    // External-directory mode: the service's route table is the single
-    // id -> (shard, slot) map; shards keep no directory of their own.
-    shards_.emplace_back(num_processors, cost_model,
-                         /*external_directory=*/true);
+    shards_.emplace_back(num_processors, cost_model);
   }
   const uint64_t n = shards_.size();
   shard_mask_ = (n & (n - 1)) == 0 ? n - 1 : ~uint64_t{0};
@@ -69,42 +66,25 @@ util::Status ObjectService::AddObject(ObjectId id,
   // no worker may be serving while that happens.
   FenceAsync();
   if (injector_ != nullptr) [[unlikely]] {
-    // Registrations under fault mode must respect the fault layer's two
-    // preconditions: inlinable algorithm kind, and no replica born on a
-    // crashed processor (scheme ⊆ live is the scrub invariant).
-    if (config.algorithm != AlgorithmKind::kStatic &&
-        config.algorithm != AlgorithmKind::kDynamic) {
-      return util::Status::FailedPrecondition(
-          "fault mode supports only the inlined algorithm kinds");
-    }
+    // No replica may be born on a crashed processor: scheme ⊆ live is the
+    // scrub invariant.
     if (!config.initial_scheme.IsSubsetOf(live_)) {
       return util::Status::FailedPrecondition(
           "initial scheme " + config.initial_scheme.ToString() +
           " includes crashed processors (live " + live_.ToString() + ")");
     }
   }
-  if (durability_ != nullptr) [[unlikely]] {
-    // Write-ahead: the registration record reaches the log before the shard
-    // mutates, so it must be validated *here* — a logged AddObject may never
-    // fail on replay.
-    if (config.algorithm != AlgorithmKind::kStatic &&
-        config.algorithm != AlgorithmKind::kDynamic) {
-      return util::Status::FailedPrecondition(
-          "durability supports only the inlined algorithm kinds (static, "
-          "dynamic)");
-    }
-  }
-  // The shards keep no directory in external mode, so the duplicate check
-  // lives here — before the WAL write, which must never log a registration
-  // that could fail on replay.
+  // The shards keep no directory, so the duplicate check lives here —
+  // before the WAL write, which must never log a registration that could
+  // fail on replay.
   if (route_directory_.Contains(id)) {
     return util::Status::InvalidArgument("duplicate object id " +
                                          std::to_string(id));
   }
   const size_t shard = ShardOf(id);
-  // The slot the shard will hand out is its current span (objects are never
-  // removed, so the free list is empty). Reject while it fits neither the
-  // packed word's slot field nor the directory's reserved sentinels.
+  // The slot the shard will hand out is its current span. Reject while it
+  // fits neither the packed word's slot field nor the directory's reserved
+  // sentinels.
   const uint32_t next_slot = shards_[shard].slot_span();
   if (next_slot > route_slot_mask_ ||
       PackRoute(shard, next_slot) >= 0xFFFFFFFEu) [[unlikely]] {
@@ -113,6 +93,9 @@ util::Status ObjectService::AddObject(ObjectId id,
         std::to_string(next_slot) + " objects)");
   }
   if (durability_ != nullptr) [[unlikely]] {
+    // Write-ahead: the registration record reaches the log before the shard
+    // mutates, so it must be validated *here* — a logged AddObject may never
+    // fail on replay.
     OBJALLOC_RETURN_IF_ERROR(
         ObjectShard::ValidateConfig(config, num_processors_));
     std::string payload;
@@ -175,81 +158,15 @@ util::StatusOr<ObjectHandle> ObjectService::Resolve(ObjectId id) const {
                       RouteSlot(route), id};
 }
 
-util::StatusOr<double> ObjectService::Serve(ObjectId id,
-                                            const Request& request) {
-  if (injector_ != nullptr) [[unlikely]] {
-    return util::Status::FailedPrecondition(
-        "single-request Serve bypasses fault time; use ServeBatch in "
-        "fault mode");
-  }
-  FenceAsync();  // this thread serves the shard directly
-  const uint32_t route = route_directory_.Find(id);
-  if (route == util::FlatDirectory<uint32_t>::kNotFound) [[unlikely]] {
-    return util::Status::NotFound("unknown object " + std::to_string(id));
-  }
-  if (request.processor < 0 || request.processor >= num_processors_)
-      [[unlikely]] {
-    return util::Status::OutOfRange("processor out of range");
-  }
-  if (durability_ != nullptr) [[unlikely]] {
-    OBJALLOC_RETURN_IF_ERROR(LogSingle(id, request));
-  }
-  const double cost =
-      shards_[RouteShard(route)].ServeSlot(RouteSlot(route), request, nullptr);
-  OBJALLOC_RETURN_IF_ERROR(FinishBatch());
-  return cost;
-}
-
-util::StatusOr<double> ObjectService::Serve(const ObjectHandle& handle,
-                                            const Request& request) {
-  if (injector_ != nullptr) [[unlikely]] {
-    return util::Status::FailedPrecondition(
-        "single-request Serve bypasses fault time; use ServeBatch in "
-        "fault mode");
-  }
-  FenceAsync();  // this thread serves the shard directly
-  if (handle.shard >= shards_.size() ||
-      handle.slot >= shards_[handle.shard].slot_span() ||
-      shards_[handle.shard].IdAt(handle.slot) != handle.id) [[unlikely]] {
-    return util::Status::InvalidArgument(
-        "stale or invalid handle for object " + std::to_string(handle.id));
-  }
-  if (request.processor < 0 || request.processor >= num_processors_)
-      [[unlikely]] {
-    return util::Status::OutOfRange("processor out of range");
-  }
-  if (durability_ != nullptr) [[unlikely]] {
-    OBJALLOC_RETURN_IF_ERROR(LogSingle(handle.id, request));
-  }
-  const double cost = shards_[handle.shard].ServeSlot(handle.slot, request,
-                                                      nullptr);
-  OBJALLOC_RETURN_IF_ERROR(FinishBatch());
-  return cost;
-}
-
 template <typename EventT>
-util::Status ObjectService::AdmitBatch(std::span<const EventT> events,
-                                       BatchResult* result,
-                                       BatchContext* context) {
-  if (events.size() > size_t{std::numeric_limits<uint32_t>::max()})
-      [[unlikely]] {
-    return util::Status::InvalidArgument(
-        "batch exceeds 2^32 - 1 events; split it");
-  }
-  result->costs.clear();
-  result->costs.resize(events.size());
-  result->breakdown = model::CostBreakdown();
-  result->cost = 0;
-  result->served.clear();
-  result->unavailable = 0;
-
-  // Admission pass: validate everything and resolve each event's (shard,
-  // slot) route exactly once, before any shard state changes, so a
-  // rejected batch leaves the service untouched. Validation reads only
-  // registration-time state (the route directory, slot identities,
-  // processor bounds) that in-flight batches never mutate — which is what
-  // makes admitting batch n+1 while batch n is still being served safe.
-  routes_.resize(events.size());
+util::Status ObjectService::AdmitEvents(std::span<const EventT> events,
+                                        BatchContext* context) {
+  // Validate everything and resolve each event's (shard, slot) route
+  // exactly once, before any shard state changes, so a rejected batch
+  // leaves the service untouched. Validation reads only registration-time
+  // state (the route directory, slot identities, processor bounds) that
+  // in-flight batches never mutate — which is what makes admitting batch
+  // n+1 while batch n is still being served safe.
   for (size_t i = 0; i < events.size(); ++i) {
     const EventT& event = events[i];
     uint32_t route;
@@ -278,15 +195,35 @@ util::Status ObjectService::AdmitBatch(std::span<const EventT> events,
           "batch event " + std::to_string(i) + ": processor " +
           std::to_string(event.request.processor) + " out of range");
     }
-    routes_[i] = route;
     if (context != nullptr) {
       // Partition for the executor while the route is hot: the worker gets
       // everything it needs (slot, request, cost cell index) by value.
       context->ops[RouteShard(route)].push_back(ShardOp{
           static_cast<uint32_t>(i), RouteSlot(route), event.request});
+    } else {
+      routes_[i] = route;
     }
   }
   return util::Status::Ok();
+}
+
+util::Status ObjectService::AdmitBatch(const BatchEvents& events,
+                                       BatchResult* result,
+                                       BatchContext* context) {
+  if (events.size() > size_t{std::numeric_limits<uint32_t>::max()})
+      [[unlikely]] {
+    return util::Status::InvalidArgument(
+        "batch exceeds 2^32 - 1 events; split it");
+  }
+  result->costs.clear();
+  result->costs.resize(events.size());
+  result->breakdown = model::CostBreakdown();
+  result->cost = 0;
+  result->served.clear();
+  result->unavailable = 0;
+  if (context == nullptr) routes_.resize(events.size());
+  return events.handles.empty() ? AdmitEvents(events.ids, context)
+                                : AdmitEvents(events.handles, context);
 }
 
 void ObjectService::EnsureExecutor() {
@@ -328,139 +265,137 @@ void ObjectService::FenceAsync() const {
   }
 }
 
-template <typename EventT>
-util::Status ObjectService::ServeBatchImpl(std::span<const EventT> events,
-                                           BatchResult* result) {
-  // With one worker (or one shard, or when already inside a parallel
-  // worker) the executor would be pure overhead: the serial path below
-  // serves the admitted batch in place, in submission order, and never
-  // touches a queue. Per-object request order — the only order the
-  // algorithms observe — is the same either way, and breakdown counts are
-  // integers, so both modes are bit-identical.
-  const bool parallel = shards_.size() > 1 && util::GlobalThreads() > 1 &&
-                        !util::InParallelWorker();
-
-  if (!parallel || injector_ != nullptr) [[unlikely]] {
-    // This thread is about to touch shard state directly (the serial serve,
-    // or the fault tail's serial fault pass): quiesce the pipeline first.
-    FenceAsync();
-    OBJALLOC_RETURN_IF_ERROR(AdmitBatch(events, result, nullptr));
-    if (durability_ != nullptr) [[unlikely]] {
-      // Write-ahead: the admitted batch reaches the log before any shard
-      // state changes. A persistent IO failure degrades durability and the
-      // batch proceeds undurably — see LogBatch.
-      OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
-    }
-    if (injector_ != nullptr) [[unlikely]] {
-      // Fault mode: same admitted routes, chaos-aware serve passes. A batch
-      // that fails the *validation* above never advances fault time (it is a
-      // caller bug, not a fault); from here on, every presented event does.
-      util::Status status = ServeBatchFaultyTail(events, result, parallel);
-      if (durability_ != nullptr) [[unlikely]] {
-        // An UNAVAILABLE-rejected batch was logged and consumed fault-time
-        // windows, so the checkpoint interval advances for it too; its
-        // rejection status outranks a checkpoint error.
-        const util::Status finish = FinishBatchDurable();
-        if (status.ok()) status = finish;
-      }
-      return status;
-    }
-    // In-place serve: one pass, costs and traffic accumulated directly.
-    for (size_t i = 0; i < events.size(); ++i) {
-      const uint32_t route = routes_[i];
-      result->costs[i] = shards_[RouteShard(route)].ServeSlot(
-          RouteSlot(route), events[i].request, &result->breakdown);
-    }
-    result->cost = result->breakdown.Cost(cost_model_);
-    return FinishBatch();
-  }
-
-  // Executor path, synchronous: acquire a pipeline context (finalizing the
-  // async batch that last used it, if any), admit straight into its
-  // per-shard op lists, enqueue, wait, merge. Earlier pipelined batches may
-  // still be in flight on other contexts — the per-shard FIFO rings
-  // guarantee this batch's sub-batches run after theirs, so waiting on this
-  // context alone is enough for this result to be final.
+util::Status ObjectService::AcquireContext(uint32_t* index) {
   EnsureExecutor();
-  const uint32_t index = executor_->PeekNextContext();
-  if (async_[index].active) {
-    executor_->Wait(index);
-    MergeAsync(index);
+  const uint32_t next = executor_->PeekNextContext();
+  if (async_[next].active) {
+    executor_->Wait(next);
+    MergeAsync(next);
     OBJALLOC_RETURN_IF_ERROR(FinishBatch());
   }
-  const uint32_t acquired = executor_->Acquire();
-  OBJALLOC_CHECK_EQ(acquired, index);
-  BatchContext& context = executor_->context(index);
-  OBJALLOC_RETURN_IF_ERROR(AdmitBatch(events, result, &context));
-  if (durability_ != nullptr) [[unlikely]] {
-    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
-  }
-  context.costs = result->costs.data();
-  executor_->Submit(index);
-  executor_->Wait(index);
-  for (const model::CostBreakdown& delta : context.deltas) {
-    result->breakdown += delta;
-  }
-  result->cost = result->breakdown.Cost(cost_model_);
-  return FinishBatch();
-}
-
-template <typename EventT>
-util::Status ObjectService::SubmitBatchImpl(std::span<const EventT> events,
-                                            BatchResult* result,
-                                            BatchTicket* ticket) {
-  *ticket = BatchTicket{};  // completed until proven pipelined
-  const bool parallel = shards_.size() > 1 && util::GlobalThreads() > 1 &&
-                        !util::InParallelWorker();
-  if (!parallel || injector_ != nullptr) [[unlikely]] {
-    // Serial path: queues would add nothing. Fault mode: fault time is
-    // global serial state (one tick per event in admission order), so a
-    // fault batch must fully finish before the next is admitted. Both
-    // degrade to the synchronous engine, which fences internally.
-    return ServeBatchImpl(events, result);
-  }
-  EnsureExecutor();
-  const uint32_t index = executor_->PeekNextContext();
-  if (async_[index].active) {
-    // Pipeline full (depth batches in flight): the oldest context's batch
-    // is finalized here, which is what bounds queue occupancy.
-    executor_->Wait(index);
-    MergeAsync(index);
-    OBJALLOC_RETURN_IF_ERROR(FinishBatch());
-  }
-  const uint32_t acquired = executor_->Acquire();
-  OBJALLOC_CHECK_EQ(acquired, index);
-  BatchContext& context = executor_->context(index);
-  OBJALLOC_RETURN_IF_ERROR(AdmitBatch(events, result, &context));
-  if (durability_ != nullptr) [[unlikely]] {
-    // Log at submit, ahead of any serve of this batch — the WAL's
-    // log→serve order is indifferent to how long the pipeline holds the
-    // batch afterwards.
-    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
-  }
-  context.costs = result->costs.data();
-  async_[index] = AsyncBatch{result, context.sequence, /*active=*/true};
-  ++async_active_;
-  executor_->Submit(index);
-  *ticket = BatchTicket{index, context.sequence, /*completed=*/false};
+  *index = executor_->Acquire();
+  OBJALLOC_CHECK_EQ(*index, next);
   return util::Status::Ok();
 }
 
-template <typename EventT>
-util::Status ObjectService::ServeBatchFaultyTail(std::span<const EventT> events,
-                                                 BatchResult* result,
-                                                 bool parallel) {
+util::Status ObjectService::Submit(const BatchEvents& events,
+                                   BatchResult* result, BatchTicket* ticket) {
+  *ticket = BatchTicket{};  // completed until proven pipelined
+  // With one worker (or one shard, or when already inside a parallel
+  // worker) the executor would be pure overhead: the batch is served in
+  // place, in submission order, and never touches a queue. Per-object
+  // request order — the only order the algorithms observe — is the same
+  // either way, and breakdown counts are integers, so both modes are
+  // bit-identical.
+  const bool parallel = shards_.size() > 1 && util::GlobalThreads() > 1 &&
+                        !util::InParallelWorker();
+  // Admission partitions straight into a pipeline context on the plain
+  // executor path. The serial path serves shard state from this thread,
+  // and fault time is global serial state (one tick per event in admission
+  // order), so both quiesce the pipeline and admit into routes_ instead.
+  BatchContext* context = nullptr;
+  uint32_t index = 0;
+  if (parallel && injector_ == nullptr) {
+    OBJALLOC_RETURN_IF_ERROR(AcquireContext(&index));
+    context = &executor_->context(index);
+  } else {
+    FenceAsync();
+  }
+  OBJALLOC_RETURN_IF_ERROR(AdmitBatch(events, result, context));
+  if (durability_ != nullptr) [[unlikely]] {
+    // Write-ahead: the admitted batch reaches the log before any shard
+    // state changes — and ahead of any serve of a pipelined batch, however
+    // long the pipeline holds it. A persistent IO failure degrades
+    // durability and the batch proceeds undurably — see LogBatch.
+    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
+  }
+  if (injector_ != nullptr) [[unlikely]] {
+    // A batch that fails validation above never advances fault time (it is
+    // a caller bug, not a fault); from here on, every presented event does.
+    util::Status status = AdvanceFaultTime(events, result);
+    if (!status.ok()) {
+      // The rejected batch was logged and consumed fault-time windows, so
+      // the checkpoint interval advances for it too; its rejection status
+      // outranks a checkpoint error.
+      if (durability_ != nullptr) (void)FinishBatchDurable();
+      return status;
+    }
+    if (parallel) {
+      // The pipeline is fenced, so the context is free. Refused events are
+      // never enqueued.
+      OBJALLOC_RETURN_IF_ERROR(AcquireContext(&index));
+      context = &executor_->context(index);
+      context->faulty = true;
+      context->base_index = fault_base_index_;
+      context->live_masks = live_masks_.data();
+      context->crash_log = &crash_log_;
+      context->injector = injector_.get();
+      context->check_invariant = check_invariant_;
+      for (FaultStats& stats : context->fault_stats) stats = FaultStats();
+      for (size_t i = 0; i < events.size(); ++i) {
+        if (!result->served[i]) continue;
+        const uint32_t route = routes_[i];
+        context->ops[RouteShard(route)].push_back(ShardOp{
+            static_cast<uint32_t>(i), RouteSlot(route), events.request(i)});
+      }
+    }
+  }
+
+  if (context == nullptr) {
+    ServeInPlace(events, result);
+    result->cost = result->breakdown.Cost(cost_model_);
+    return FinishBatch();
+  }
+  context->costs = result->costs.data();
+  async_[index] = AsyncBatch{result, context->sequence, /*active=*/true};
+  ++async_active_;
+  executor_->Submit(index);
+  if (injector_ == nullptr) [[likely]] {
+    *ticket = BatchTicket{index, context->sequence, /*completed=*/false};
+    return util::Status::Ok();
+  }
+  // Fault batches complete synchronously: the context points into service
+  // scratch (live_masks_, crash_log_) that the next batch recycles.
+  // Per-shard FaultStats merge in fixed shard order (integer counts —
+  // exact; repair-latency samples land in shard order, a deterministic
+  // multiset) before the durability hook can checkpoint them.
+  executor_->Wait(index);
+  MergeAsync(index);
+  for (const FaultStats& stats : context->fault_stats) fault_stats_ += stats;
+  return FinishBatch();
+}
+
+void ObjectService::ServeInPlace(const BatchEvents& events,
+                                 BatchResult* result) {
+  if (injector_ == nullptr) [[likely]] {
+    for (size_t i = 0; i < events.size(); ++i) {
+      const uint32_t route = routes_[i];
+      result->costs[i] = shards_[RouteShard(route)].ServeSlot(
+          RouteSlot(route), events.request(i), &result->breakdown);
+    }
+    return;
+  }
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (!result->served[i]) continue;  // refused: cost 0, no traffic
+    const uint32_t route = routes_[i];
+    result->costs[i] = shards_[RouteShard(route)].ServeSlotFaulty(
+        RouteSlot(route), events.request(i), fault_base_index_ + i,
+        live_masks_[i], crash_log_, *injector_, &result->breakdown,
+        &fault_stats_, check_invariant_);
+  }
+}
+
+util::Status ObjectService::AdvanceFaultTime(const BatchEvents& events,
+                                             BatchResult* result) {
   result->served.assign(events.size(), 1);
   live_masks_.resize(events.size());
-
-  // Serial fault pass: one tick of fault time per event. Scripted and random
-  // crash/recover events fire here (in admission order — the only order
-  // fault time knows), the live set at each event is recorded for the serve
-  // pass, and degraded admission runs: an object needing more live
-  // processors than exist rejects the whole batch (fault time keeps the
-  // consumed window, so a replay meets the recovered world); a crashed
-  // issuer refuses just its own event.
-  const size_t base_index = injector_->cursor();
+  // One tick of fault time per event. Scripted and random crash/recover
+  // events fire here (in admission order — the only order fault time
+  // knows), and the live set at each event is recorded for the serve step.
+  // An object needing more live processors than exist rejects the whole
+  // batch, but fault time keeps the consumed window, so a replay meets the
+  // recovered world; a crashed issuer refuses just its own event.
+  fault_base_index_ = injector_->cursor();
   bool reject = false;
   size_t reject_index = 0;
   int reject_live = 0;
@@ -478,8 +413,9 @@ util::Status ObjectService::ServeBatchFaultyTail(std::span<const EventT> events,
       reject_index = i;
       reject_live = live_.Size();
       reject_t = t;
-    } else if (!live_.Contains(events[i].request.processor)) {
+    } else if (!live_.Contains(events.request(i).processor)) {
       result->served[i] = 0;
+      result->unavailable += 1;
     }
   }
   if (reject) {
@@ -490,62 +426,7 @@ util::Status ObjectService::ServeBatchFaultyTail(std::span<const EventT> events,
         " processor(s) live, object needs t=" + std::to_string(reject_t) +
         "; replay the batch after recovery");
   }
-
-  if (!parallel) {
-    for (size_t i = 0; i < events.size(); ++i) {
-      if (!result->served[i]) {
-        result->costs[i] = 0;
-        result->unavailable += 1;
-        continue;
-      }
-      const uint32_t route = routes_[i];
-      result->costs[i] = shards_[RouteShard(route)].ServeSlotFaulty(
-          RouteSlot(route), events[i].request, base_index + i, live_masks_[i],
-          crash_log_, *injector_, &result->breakdown, &fault_stats_,
-          check_invariant_);
-    }
-    fault_stats_.unavailable_requests += result->unavailable;
-    result->cost = result->breakdown.Cost(cost_model_);
-    return util::Status::Ok();
-  }
-
-  // Executor serve, synchronous: the same per-shard partition as the plain
-  // path, with per-shard FaultStats scratch merged in fixed shard order
-  // (integer counts — exact; repair-latency samples land in shard order, a
-  // deterministic multiset). Synchronous because the context points into
-  // service scratch (live_masks_, crash_log_) that the next batch recycles;
-  // the caller fenced the pipeline before entering the fault tail, so this
-  // context is free.
-  EnsureExecutor();
-  const uint32_t index = executor_->Acquire();
-  BatchContext& context = executor_->context(index);
-  context.faulty = true;
-  context.base_index = base_index;
-  context.live_masks = live_masks_.data();
-  context.crash_log = &crash_log_;
-  context.injector = injector_.get();
-  context.check_invariant = check_invariant_;
-  for (FaultStats& stats : context.fault_stats) stats = FaultStats();
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (!result->served[i]) {
-      // Refused (issuer crashed): cost 0, no traffic, never enqueued.
-      result->costs[i] = 0;
-      result->unavailable += 1;
-      continue;
-    }
-    const uint32_t route = routes_[i];
-    context.ops[RouteShard(route)].push_back(ShardOp{
-        static_cast<uint32_t>(i), RouteSlot(route), events[i].request});
-  }
-  context.costs = result->costs.data();
-  executor_->Submit(index);
-  executor_->Wait(index);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    result->breakdown += context.deltas[s];
-    fault_stats_ += context.fault_stats[s];
-  }
   fault_stats_.unavailable_requests += result->unavailable;
-  result->cost = result->breakdown.Cost(cost_model_);
   return util::Status::Ok();
 }
 
@@ -577,13 +458,6 @@ util::Status ObjectService::EnableFaults(const FaultInjectorOptions& options,
   OBJALLOC_RETURN_IF_ERROR(options.Validate(num_processors_));
   OBJALLOC_RETURN_IF_ERROR(
       FaultInjector::ValidateSchedule(schedule, num_processors_));
-  for (const ObjectShard& shard : shards_) {
-    if (shard.HasFallbackObjects()) {
-      return util::Status::FailedPrecondition(
-          "fault injection supports only the inlined algorithm kinds "
-          "(static, dynamic); a registered object uses a fallback");
-    }
-  }
   if (durability_ != nullptr) [[unlikely]] {
     // All validation passed; from here the arm cannot fail, so the record
     // is safe to write ahead (before `schedule` is moved away).
@@ -671,44 +545,6 @@ size_t ObjectService::degraded_count() const {
   size_t total = 0;
   for (const ObjectShard& shard : shards_) total += shard.degraded_count();
   return total;
-}
-
-util::Status ObjectService::ServeBatchInto(
-    std::span<const workload::MultiObjectEvent> events, BatchResult* result) {
-  return ServeBatchImpl(events, result);
-}
-
-util::Status ObjectService::ServeBatchInto(std::span<const HandleEvent> events,
-                                           BatchResult* result) {
-  return ServeBatchImpl(events, result);
-}
-
-util::StatusOr<BatchResult> ObjectService::ServeBatch(
-    std::span<const workload::MultiObjectEvent> events) {
-  BatchResult result;
-  util::Status status = ServeBatchImpl(events, &result);
-  if (!status.ok()) return status;
-  return result;
-}
-
-util::StatusOr<BatchResult> ObjectService::ServeBatch(
-    std::span<const HandleEvent> events) {
-  BatchResult result;
-  util::Status status = ServeBatchImpl(events, &result);
-  if (!status.ok()) return status;
-  return result;
-}
-
-util::Status ObjectService::SubmitBatch(
-    std::span<const workload::MultiObjectEvent> events, BatchResult* result,
-    BatchTicket* ticket) {
-  return SubmitBatchImpl(events, result, ticket);
-}
-
-util::Status ObjectService::SubmitBatch(std::span<const HandleEvent> events,
-                                        BatchResult* result,
-                                        BatchTicket* ticket) {
-  return SubmitBatchImpl(events, result, ticket);
 }
 
 util::Status ObjectService::WaitBatch(BatchTicket* ticket) {
@@ -849,8 +685,7 @@ util::Status ObjectService::EnterDegraded(util::Status status) {
   return status;
 }
 
-template <typename EventT>
-util::Status ObjectService::LogBatch(std::span<const EventT> events) {
+util::Status ObjectService::LogBatch(const BatchEvents& events) {
   Durability& d = *durability_;
   if (d.state != DurabilityState::kDurable) [[unlikely]] {
     // Degraded: the disk is gone but the service is not. Serve the batch
@@ -859,14 +694,14 @@ util::Status ObjectService::LogBatch(std::span<const EventT> events) {
     return util::Status::Ok();
   }
   uint64_t lsn = 0;
-  if constexpr (std::is_same_v<EventT, workload::MultiObjectEvent>) {
-    lsn = d.wal->AppendBatch(events);
+  if (events.handles.empty()) {
+    lsn = d.wal->AppendBatch(events.ids);
   } else {
     // Handle-addressed events log id-addressed: the two entry points are
     // bit-identical, so replay through the id path reproduces the state.
     d.batch_scratch.clear();
     d.batch_scratch.reserve(events.size());
-    for (const EventT& event : events) {
+    for (const HandleEvent& event : events.handles) {
       d.batch_scratch.push_back(
           workload::MultiObjectEvent{event.handle.id, event.request});
     }
@@ -912,13 +747,6 @@ util::Status ObjectService::LogOp(WalRecordType type,
   }
   if (!status.ok()) (void)EnterDegraded(status);
   return util::Status::Ok();
-}
-
-util::Status ObjectService::LogSingle(ObjectId id, const Request& request) {
-  durability_->batch_scratch.assign(1,
-                                    workload::MultiObjectEvent{id, request});
-  return LogBatch(std::span<const workload::MultiObjectEvent>(
-      durability_->batch_scratch.data(), 1));
 }
 
 util::Status ObjectService::FinishBatchDurable() {
@@ -1066,13 +894,6 @@ util::Status ObjectService::EnableDurability(const std::string& dir,
   }
   FenceAsync();  // the generation-1 snapshot reads every shard
   OBJALLOC_RETURN_IF_ERROR(options.Validate());
-  for (const ObjectShard& shard : shards_) {
-    if (shard.HasFallbackObjects()) {
-      return util::Status::FailedPrecondition(
-          "durability supports only the inlined algorithm kinds (static, "
-          "dynamic); a registered object uses a fallback");
-    }
-  }
   OBJALLOC_RETURN_IF_ERROR(util::EnsureDir(dir));
   // This call *starts* a durable history; durable files left by a previous
   // incarnation (including their temp files) are removed so a manifest-less
@@ -1631,6 +1452,13 @@ util::Status ObjectService::ApplyDeltaCheckpointStream(
             " exceeds the routable slot space");
       }
       const ObjectId id = shards_[s].IdAt(slot);
+      if (id < 0) {
+        // Slots appended in the delta window must all arrive in its dirty
+        // ranges; an unfilled one is a hole no writer produces.
+        return util::Status::Internal("delta checkpoint: shard " +
+                                      std::to_string(s) + " slot " +
+                                      std::to_string(slot) + " never filled");
+      }
       if (ShardOf(id) != s) {
         return util::Status::Internal("delta checkpoint: object " +
                                       std::to_string(id) +

@@ -1,24 +1,37 @@
 // ObjectService — the sharded, batched multi-object serving layer.
 //
-// Objects are hash-partitioned across N ObjectShards. A batch of events is
-// admitted atomically (every event validated — and its (shard, slot) route
-// resolved exactly once — before any is served). With more than one worker
-// available the admitted batch is partitioned into per-shard sub-batches
-// and handed to the ShardExecutor (core/shard_executor.h): long-lived
-// worker threads that own fixed shard sets, fed through bounded per-shard
-// SPSC rings — no per-batch fork, no global barrier. With one worker (or
-// one shard) the executor is never built and the batch is served in place,
-// in submission order, through a queue-free serial path.
+// Objects are hash-partitioned across N ObjectShards. Entry points:
+//   * SubmitBatch (id- or handle-addressed) → WaitBatch / DrainBatches: the
+//     one batch engine. Every other serve call is a header-inline wrapper
+//     over it: ServeBatch is submit + wait, Serve(id, request) is a
+//     one-event ServeBatch.
+//   * ServeStream drains an EventSource through SubmitBatch,
+//     double-buffered.
+//   * Resolve turns an id into an ObjectHandle once, so handle batches
+//     admit without a directory probe.
 //
-// Pipelining (DESIGN.md §11): SubmitBatch enqueues a batch and returns a
-// BatchTicket without waiting, so shard k can serve batch n+1 while shard j
-// still works on batch n; WaitBatch (or DrainBatches) finalizes the
-// ticket's result. Admission stays all-or-nothing — validation reads only
-// registration-time state (routes, processor bounds), which in-flight
-// batches never mutate — and the WAL append still happens at submit, ahead
-// of any serve, preserving log→serve order. Everything that must observe
-// or mutate quiesced shards (stats reads, registrations, checkpoints,
-// fault-mode arming, the serial path) fences the pipeline first.
+// SubmitBatch runs one sequence: fence the pipeline when needed, admit
+// the whole batch atomically (every event validated — and its (shard,
+// slot) route resolved exactly once — before any is served), write it
+// ahead to the WAL, run the fault pre-stage in fault mode, then serve.
+// With more than one worker available the admitted batch is partitioned
+// into per-shard sub-batches and handed to the ShardExecutor
+// (core/shard_executor.h): long-lived worker threads that own fixed shard
+// sets, fed through bounded per-shard SPSC rings — no per-batch fork, no
+// global barrier. With one worker (or one shard) the executor is never
+// built and the batch is served in place, in submission order, through a
+// queue-free serial path.
+//
+// Pipelining (DESIGN.md §11): on the executor path SubmitBatch enqueues a
+// batch and returns a BatchTicket without waiting, so shard k can serve
+// batch n+1 while shard j still works on batch n; WaitBatch (or
+// DrainBatches) finalizes the ticket's result. Admission stays
+// all-or-nothing — validation reads only registration-time state (routes,
+// processor bounds), which in-flight batches never mutate — and the WAL
+// append still happens at submit, ahead of any serve, preserving
+// log→serve order. Everything that must observe or mutate quiesced shards
+// (stats reads, registrations, checkpoints, fault-mode arming, the serial
+// path) fences the pipeline first.
 //
 // Hot-path engineering (DESIGN.md §8):
 //   * Routing is handle-based: admission resolves ObjectId → (shard, dense
@@ -29,13 +42,14 @@
 //     per-shard op lists and CostBreakdown deltas) is owned by the service
 //     or its executor and recycled across batches: after warming every
 //     pipeline context with a maximal batch, both the serial path and the
-//     executor path perform zero steady-state allocations (asserted by
+//     executor path perform zero steady-state allocations when the caller
+//     recycles its BatchResult across SubmitBatch calls (asserted by
 //     tests/serving_engine_test.cc through an operator-new counting hook).
-//     ServeBatchInto reuses the caller's BatchResult storage the same way.
 //
 // Determinism contract (same bar as tests/parallel_test.cc): results are
-// bit-identical for every shard count and every thread count, including the
-// serial ObjectManager path. The argument has three legs:
+// bit-identical for every shard count and every thread count, including a
+// one-shard service driven one event at a time. The argument has three
+// legs:
 //   1. Objects never span shards, so each object sees its requests in
 //      submission order no matter how the batch is partitioned; a DOM
 //      algorithm's decisions depend only on its own object's prefix.
@@ -54,11 +68,13 @@
 // serializing concurrency-control front end (§3.1).
 //
 // Fault mode (DESIGN.md §9): EnableFaults arms a deterministic FaultInjector.
-// Faults are applied during the *serial* admission pass — each event's global
-// admission index advances fault time by one, scripted and random
-// crash/recover events fire there, and the live set at each event is recorded
-// — so the parallel serve pass stays embarrassingly parallel and the whole
-// fault history is bit-identical at any shard x thread count. Admission
+// Faults are applied in a *serial* pre-stage between logging and serving —
+// each event's global admission index advances fault time by one, scripted
+// and random crash/recover events fire there, and the live set at each event
+// is recorded — so the serve step (in place or on the executor, through
+// ObjectShard::ServeSlotFaulty) stays embarrassingly parallel and the whole
+// fault history is bit-identical at any shard x thread count. Fault batches
+// always complete synchronously. Admission
 // degrades gracefully: a batch containing an event whose object needs more
 // live processors than exist is rejected atomically with kUnavailable
 // (replayable — fault time still advances, so a retry runs against the
@@ -74,7 +90,7 @@
 // batch, registration, or fault-control call, appended before the operation
 // mutates shard state — and recovery (ObjectService::Recover) loads the
 // newest valid snapshot, replays the WAL tail through the very same
-// ServeBatchImpl, truncates a torn final record, and reproduces
+// SubmitBatch engine, truncates a torn final record, and reproduces
 // bit-identical state (scheme CRCs and cost fingerprints — asserted by
 // tests/durability_test.cc).
 //
@@ -133,8 +149,8 @@ namespace objalloc::core {
 
 struct ServiceOptions {
   // Shard count is a pure partitioning knob: any value yields identical
-  // results; more shards expose more parallelism to ServeBatch. One shard
-  // degenerates to the serial ObjectManager behavior.
+  // results; more shards expose more parallelism to SubmitBatch. One shard
+  // is the serial reference.
   int num_shards = 16;
 
   util::Status Validate() const;
@@ -173,8 +189,8 @@ struct BatchResult {
 };
 
 // Receipt for a batch handed to SubmitBatch. `completed == true` means the
-// batch already finished synchronously (serial path, fault mode, or empty
-// pipeline budget) and its BatchResult is final; otherwise WaitBatch (or
+// batch already finished synchronously (serial path or fault mode) and its
+// BatchResult is final; otherwise WaitBatch (or
 // DrainBatches) must run before the result — or the event storage backing
 // it — is touched. Tickets are cheap values; waiting on a stale ticket
 // (its batch already finalized by a drain or a later submit) is an Ok
@@ -270,8 +286,10 @@ class ObjectService {
       int num_processors, const model::CostModel& cost_model,
       const ServiceOptions& options = {});
 
-  // Registers an object with its home shard. Same validation as
-  // ObjectManager::AddObject.
+  // Registers an object with its home shard. InvalidArgument on a
+  // duplicate id, an empty or out-of-range scheme, a kind other than SA or
+  // DA, and DA with t < 2; FailedPrecondition in fault mode when the
+  // scheme names a crashed processor.
   util::Status AddObject(ObjectId id, const ObjectConfig& config);
 
   // Pre-sizes every table a registration burst touches — the service route
@@ -281,7 +299,7 @@ class ObjectService {
   void ReserveObjects(size_t expected_total);
 
   // Total heap footprint of the serving state: route directory buckets,
-  // shard slab pages, fallback side tables, and batch scratch. Excludes
+  // shard slab pages, and batch scratch. Excludes
   // durability buffers (bounded, not per-object).
   size_t MemoryUsageBytes() const;
 
@@ -294,50 +312,51 @@ class ObjectService {
   // unregistered ids.
   util::StatusOr<ObjectHandle> Resolve(ObjectId id) const;
 
-  // Single-request path (routes to the owning shard, full validation).
-  util::StatusOr<double> Serve(ObjectId id, const Request& request);
-
-  // Single-request handle path: same result as Serve(handle.id, request)
-  // without the hash lookup. InvalidArgument for stale/foreign handles.
-  util::StatusOr<double> Serve(const ObjectHandle& handle,
-                               const Request& request);
-
-  // Batched path. Admission is atomic: if any event names an unknown object
-  // or an out-of-range processor, the whole batch is rejected (NotFound /
-  // OutOfRange, message names the offending event index) and no state
-  // changes. On success every event has been served — in place when only
-  // one worker or shard is available, otherwise fanned across shards in
-  // parallel — and the result is merged in submission order.
-  util::StatusOr<BatchResult> ServeBatch(
-      std::span<const workload::MultiObjectEvent> events);
-
-  // Handle-addressed batch: identical semantics and results, but admission
-  // validates the pre-resolved routes instead of hashing ids (stale or
-  // malformed handles reject the batch atomically with InvalidArgument).
-  util::StatusOr<BatchResult> ServeBatch(std::span<const HandleEvent> events);
-
-  // Allocation-recycling variants: clear and refill `*result`, reusing its
-  // storage. A caller that keeps one BatchResult across batches pays zero
-  // steady-state allocations on the serial path.
-  util::Status ServeBatchInto(
-      std::span<const workload::MultiObjectEvent> events, BatchResult* result);
-  util::Status ServeBatchInto(std::span<const HandleEvent> events,
-                              BatchResult* result);
-
-  // Pipelined batch entry: admits and logs the batch, enqueues its
-  // per-shard work, and returns without waiting for the serve. The caller
-  // must keep `*result` alive and untouched until WaitBatch(ticket) (or
-  // DrainBatches) returns; `events` may be reused immediately — admission
-  // copies everything the workers need. Order across SubmitBatch calls is
-  // submission order per shard (FIFO queues), so results are bit-identical
-  // to back-to-back ServeBatch calls. Falls back to synchronous execution
-  // (ticket->completed == true) on the serial path and in fault mode —
-  // fault time is global serial state. An admission error rejects the
-  // batch with no state change, like ServeBatch.
+  // The batch engine. Admission is atomic: if any event names an unknown
+  // object (NotFound), a stale or malformed handle (InvalidArgument), or an
+  // out-of-range processor (OutOfRange), the whole batch is rejected — the
+  // message names the offending event index — and no state changes. An
+  // admitted batch is logged, then served: in place when only one worker
+  // or shard is available (the ticket comes back completed), otherwise its
+  // per-shard work is enqueued on the executor and the call returns
+  // without waiting. The caller must keep `*result` alive and untouched
+  // until WaitBatch(ticket) (or DrainBatches) returns; `events` may be
+  // reused immediately — admission copies everything the workers need.
+  // `*result` is cleared and refilled, reusing its storage, so a caller
+  // that recycles it pays zero steady-state allocations. Order across
+  // SubmitBatch calls is submission order per shard (FIFO queues), so
+  // results are bit-identical however batches are split or pipelined. In
+  // fault mode the batch always completes synchronously (fault time is
+  // global serial state) and may be rejected with Unavailable.
   util::Status SubmitBatch(std::span<const workload::MultiObjectEvent> events,
-                           BatchResult* result, BatchTicket* ticket);
+                           BatchResult* result, BatchTicket* ticket) {
+    return Submit(BatchEvents{events, {}}, result, ticket);
+  }
   util::Status SubmitBatch(std::span<const HandleEvent> events,
-                           BatchResult* result, BatchTicket* ticket);
+                           BatchResult* result, BatchTicket* ticket) {
+    return Submit(BatchEvents{{}, events}, result, ticket);
+  }
+
+  // Synchronous batch: SubmitBatch + WaitBatch. On success every event has
+  // been served and the result is merged in submission order.
+  util::StatusOr<BatchResult> ServeBatch(
+      std::span<const workload::MultiObjectEvent> events) {
+    BatchResult result;
+    BatchTicket ticket;
+    OBJALLOC_RETURN_IF_ERROR(SubmitBatch(events, &result, &ticket));
+    OBJALLOC_RETURN_IF_ERROR(WaitBatch(&ticket));
+    return result;
+  }
+
+  // Single request: a one-event ServeBatch (same validation, same WAL
+  // record, same fault-time tick). In fault mode an event refused because
+  // its issuer is crashed costs 0.
+  util::StatusOr<double> Serve(ObjectId id, const Request& request) {
+    const workload::MultiObjectEvent event{id, request};
+    util::StatusOr<BatchResult> result = ServeBatch({&event, 1});
+    if (!result.ok()) return result.status();
+    return result->costs[0];
+  }
 
   // Blocks until the ticket's batch has fully completed and finalizes its
   // BatchResult (per-shard deltas merged in fixed shard order, scalar cost
@@ -361,12 +380,11 @@ class ObjectService {
 
   // --- Fault mode -----------------------------------------------------
 
-  // Arms the fault layer: subsequent batches run through the chaos path
-  // under `options` (validated against the processor count) and the
-  // scripted `schedule` (sorted, in-range — the service-side twin of a
+  // Arms the fault layer: subsequent batches run through the fault
+  // pre-stage under `options` (validated against the processor count) and
+  // the scripted `schedule` (sorted, in-range — the service-side twin of a
   // sim::FailurePlan). The live set resets to all-live and fault time and
-  // stats restart. FailedPrecondition if any registered object uses a
-  // non-inlined algorithm kind (no defined failure semantics).
+  // stats restart.
   util::Status EnableFaults(const FaultInjectorOptions& options,
                             FaultSchedule schedule = {});
 
@@ -409,8 +427,6 @@ class ObjectService {
   // the current state (an empty service or one mid-life — both work) plus a
   // fresh WAL. Durable files of a previous incarnation in `dir` are removed
   // — this call *starts* a durable history; Recover *continues* one.
-  // FailedPrecondition while a non-inlined (kAdaptive) object is registered:
-  // its opaque algorithm state cannot be snapshotted.
   //
   // IO failure policy (DESIGN.md §14): transient failures (EIO class) are
   // retried with exponential backoff under DurabilityOptions::retry. A
@@ -523,6 +539,19 @@ class ObjectService {
   std::vector<ObjectId> SortedObjectIds() const;
 
  private:
+  // The engine's view of one submitted batch: exactly one span is used.
+  // Only admission and the WAL encoding look at the addressing; the serve
+  // steps read requests through request(i).
+  struct BatchEvents {
+    std::span<const workload::MultiObjectEvent> ids;
+    std::span<const HandleEvent> handles;
+
+    size_t size() const { return ids.size() + handles.size(); }
+    const Request& request(size_t i) const {
+      return handles.empty() ? ids[i].request : handles[i].request;
+    }
+  };
+
   size_t ShardOf(ObjectId id) const;
 
   // Durability state (null when detached — the plain hot path pays one
@@ -541,7 +570,7 @@ class ObjectService {
     // joined) but kept for its final Stats until reattach folds them in.
     std::unique_ptr<AsyncWalWriter> wal;
     size_t events_since_checkpoint = 0;
-    // Scratch for logging handle-addressed batches and single requests.
+    // Scratch for logging handle-addressed batches.
     std::vector<workload::MultiObjectEvent> batch_scratch;
 
     DurabilityState state = DurabilityState::kDurable;
@@ -563,8 +592,7 @@ class ObjectService {
   // I/O error is asynchronous — it surfaces (and degrades) on a later
   // logging call, sync, or checkpoint; the on-disk log is always a
   // consistent prefix.
-  template <typename EventT>
-  util::Status LogBatch(std::span<const EventT> events);
+  util::Status LogBatch(const BatchEvents& events);
 
   // Appends a non-batch operation record; a persistent failure degrades
   // durability (the operation still applies in memory and is captured by
@@ -575,11 +603,6 @@ class ObjectService {
   // already degraded the stored error is returned unchanged): detaches the
   // async writer's log thread and stops all logging until reattach.
   util::Status EnterDegraded(util::Status status);
-
-  // Logs a single-request serve as a batch of one — the two entry points
-  // are bit-identical by the engine's contract, so replay through the batch
-  // path reproduces the exact state.
-  util::Status LogSingle(ObjectId id, const Request& request);
 
   // Post-batch durability hook: auto-checkpoint when the configured event
   // interval has elapsed. Inline no-op when durability is off.
@@ -603,8 +626,8 @@ class ObjectService {
   util::Status RestoreServiceState(const ServiceStateImage& image);
 
   // Restores shards + route directory + service state from an opened
-  // checkpoint stream (v1 monolithic or v2 chunked); the service must be
-  // freshly constructed with the matching config.
+  // checkpoint stream; the service must be freshly constructed with the
+  // matching config.
   util::Status RestoreFromCheckpointStream(CheckpointReader* reader,
                                            RecoveryReport* report);
 
@@ -631,28 +654,32 @@ class ObjectService {
       const std::string& dir, const DurabilityOptions& options,
       RecoveryReport* report, bool read_only);
 
-  // Shared batch engine: one admission pass resolves and validates every
-  // event into routes_ (packed shard/slot words), then the serve pass runs
-  // in place or through the shard executor (synchronously — submit, wait).
-  // EventT is MultiObjectEvent or HandleEvent.
-  template <typename EventT>
-  util::Status ServeBatchImpl(std::span<const EventT> events,
-                              BatchResult* result);
+  // The batch engine behind both SubmitBatch overloads: fence or acquire
+  // a pipeline context, admit, log, run the fault pre-stage (fault mode),
+  // then serve in place or through the executor.
+  util::Status Submit(const BatchEvents& events, BatchResult* result,
+                      BatchTicket* ticket);
 
-  // The pipelined twin: same admission and logging, but the executor is
-  // handed the batch without waiting. Degrades to ServeBatchImpl on the
-  // serial path and in fault mode.
-  template <typename EventT>
-  util::Status SubmitBatchImpl(std::span<const EventT> events,
-                               BatchResult* result, BatchTicket* ticket);
-
-  // Admission pass shared by both engines: validates every event, resolves
-  // its route into routes_, sizes `*result`, and — when `context` is
-  // non-null — additionally partitions the batch into the context's
-  // per-shard op lists. Rejects with no state change.
-  template <typename EventT>
-  util::Status AdmitBatch(std::span<const EventT> events, BatchResult* result,
+  // Admission: validates every event and sizes `*result`. With a null
+  // `context` each event's packed route goes to routes_ (the serial and
+  // fault paths serve from it); otherwise the batch is partitioned straight
+  // into the context's per-shard op lists in the same loop. Rejects with no
+  // state change.
+  util::Status AdmitBatch(const BatchEvents& events, BatchResult* result,
                           BatchContext* context);
+  template <typename EventT>
+  util::Status AdmitEvents(std::span<const EventT> events,
+                           BatchContext* context);
+
+  // Hands out the executor's next pipeline context, first finalizing the
+  // batch that last used it when the pipeline is full (which is what
+  // bounds queue occupancy). Builds the executor on first use.
+  util::Status AcquireContext(uint32_t* index);
+
+  // Serial serve of an admitted batch from routes_, in submission order.
+  // In fault mode it skips refused events and serves through
+  // ServeSlotFaulty at each event's fault-time index.
+  void ServeInPlace(const BatchEvents& events, BatchResult* result);
 
   // Builds (or rebuilds, after a thread-count change) the shard executor;
   // any in-flight batches of the old executor are merged first. Only called
@@ -672,13 +699,14 @@ class ObjectService {
   // caller-owned results change.
   void FenceAsync() const;
 
-  // Fault-mode tail of ServeBatchImpl, entered after the common admission
-  // pass validated routes: advances fault time once per event (serial),
-  // records per-event live sets, applies degraded admission, then serves
-  // through ServeSlotFaulty (in place or fanned by shard).
-  template <typename EventT>
-  util::Status ServeBatchFaultyTail(std::span<const EventT> events,
-                                    BatchResult* result, bool parallel);
+  // The fault pre-stage, run serially between logging and serving:
+  // advances fault time once per event, firing scripted and random
+  // crash/recover events, records each event's live set in live_masks_,
+  // and applies degraded admission — a crashed issuer refuses its own
+  // event (served[i] = 0), an object needing more live processors than
+  // exist rejects the whole batch with Unavailable.
+  util::Status AdvanceFaultTime(const BatchEvents& events,
+                                BatchResult* result);
 
   // Applies one crash/recover to the live set (no-op if already in that
   // state). A crash is appended to the crash log at its fault-time index —
@@ -711,13 +739,13 @@ class ObjectService {
   }
   uint32_t RouteSlot(uint32_t route) const { return route & route_slot_mask_; }
   // Service-level id → packed route directory, the single source of truth
-  // for object residency (shards run in external-directory mode and keep no
-  // id map of their own). Admission and Resolve route through this one
-  // table in one probe — per-event cost independent of the shard count.
+  // for object residency (shards keep no id map of their own). Admission
+  // and Resolve route through this one table in one probe — per-event cost
+  // independent of the shard count.
   util::FlatDirectory<uint32_t> route_directory_;
   // Batch scratch arena, recycled across batches (see header comment).
   // Per-shard partition scratch lives inside the executor's BatchContexts.
-  std::vector<uint32_t> routes_;  // per event: packed shard/slot
+  std::vector<uint32_t> routes_;  // per event: packed shard/slot (serial)
 
   // Fault mode (null when disarmed — the plain path pays one predicted
   // branch per batch). Integer FaultStats merge per shard in fixed order,
@@ -740,6 +768,7 @@ class ObjectService {
   // contract; the plain path never touches it).
   std::vector<FaultEvent> fault_buffer_;
   std::vector<ProcessorSet> live_masks_;  // per event: live set
+  size_t fault_base_index_ = 0;  // fault time of the batch's first event
 
   std::unique_ptr<Durability> durability_;
 

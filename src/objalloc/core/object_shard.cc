@@ -11,18 +11,15 @@
 namespace objalloc::core {
 
 namespace {
-// Wire size of one snapshot slot record (unchanged since format v1):
+// Wire size of one snapshot slot record:
 // id(8) kind(1) t(4) scheme(8) f(8) p(4) next_f(4) crash_log_pos(8)
 // requests(8) breakdown(3×8).
 constexpr size_t kSnapshotSlotBytes = 8 + 1 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 3 * 8;
 }  // namespace
 
 ObjectShard::ObjectShard(int num_processors,
-                         const model::CostModel& cost_model,
-                         bool external_directory)
-    : num_processors_(num_processors),
-      cost_model_(cost_model),
-      owns_directory_(!external_directory) {
+                         const model::CostModel& cost_model)
+    : num_processors_(num_processors), cost_model_(cost_model) {
   OBJALLOC_CHECK_GT(num_processors, 0);
   OBJALLOC_CHECK_LE(num_processors, util::kMaxProcessors);
   OBJALLOC_CHECK(cost_model.Validate().ok()) << cost_model.ToString();
@@ -30,7 +27,7 @@ ObjectShard::ObjectShard(int num_processors,
   // association order of the former per-slot precomputation — (ctrl*cc +
   // cd-term) + cio-term, matching CostBreakdown::Cost — so moving the
   // constants from the slot to this table cannot change a single bit.
-  cost_table_.resize(3 * (util::kMaxProcessors + 1));
+  cost_table_.resize(2 * (util::kMaxProcessors + 1));
   const double cc = cost_model_.control;
   const double cd = cost_model_.data;
   const double cio = cost_model_.io;
@@ -61,6 +58,11 @@ ObjectShard::ObjectShard(int num_processors,
 
 util::Status ObjectShard::ValidateConfig(const ObjectConfig& config,
                                          int num_processors) {
+  if (!IsInlinableKind(config.algorithm)) {
+    return util::Status::InvalidArgument(
+        std::string("the serving engine runs SA and DA only, not ") +
+        AlgorithmKindToString(config.algorithm));
+  }
   if (config.initial_scheme.Empty() ||
       !config.initial_scheme.IsSubsetOf(
           ProcessorSet::FirstN(num_processors))) {
@@ -75,7 +77,6 @@ util::Status ObjectShard::ValidateConfig(const ObjectConfig& config,
 }
 
 void ObjectShard::Reserve(size_t expected_objects) {
-  if (owns_directory_) directory_.Reserve(expected_objects);
   const size_t pages_needed =
       (expected_objects + kPageSlots - 1) >> kPageShift;
   if (pages_needed > pages_.size()) {
@@ -90,11 +91,7 @@ size_t ObjectShard::MemoryUsageBytes() const {
   size_t bytes = pages_.capacity() * sizeof(pages_[0]) +
                  pages_.size() * static_cast<size_t>(kPageSlots) *
                      sizeof(SlotRecord);
-  bytes += free_slots_.capacity() * sizeof(uint32_t);
   bytes += cost_table_.capacity() * sizeof(CostEntry);
-  bytes += directory_.MemoryUsageBytes();
-  bytes += fallback_index_.MemoryUsageBytes();
-  bytes += fallbacks_.capacity() * sizeof(fallbacks_[0]);
   bytes += degraded_.MemoryUsageBytes();
   bytes += degraded_list_.capacity() * sizeof(uint32_t);
   bytes += dirty_words_.capacity() * sizeof(uint64_t);
@@ -102,12 +99,6 @@ size_t ObjectShard::MemoryUsageBytes() const {
 }
 
 uint32_t ObjectShard::AllocateSlot() {
-  if (!free_slots_.empty()) [[unlikely]] {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    Slot(slot) = SlotRecord{};
-    return slot;
-  }
   // Two sentinels ride on uint32 slots (kInvalidSlot and the directory
   // tombstone), so the slab tops out just below them.
   OBJALLOC_CHECK_LT(slot_count_, 0xFFFFFFFEu) << "shard slot space exhausted";
@@ -119,10 +110,6 @@ uint32_t ObjectShard::AllocateSlot() {
 
 util::StatusOr<uint32_t> ObjectShard::AddObject(ObjectId id,
                                                 const ObjectConfig& config) {
-  if (owns_directory_ && directory_.Contains(id)) {
-    return util::Status::InvalidArgument("duplicate object id " +
-                                         std::to_string(id));
-  }
   util::Status valid = ValidateConfig(config, num_processors_);
   if (!valid.ok()) {
     return util::Status(valid.code(),
@@ -133,27 +120,14 @@ util::StatusOr<uint32_t> ObjectShard::AddObject(ObjectId id,
   record.id = id;
   record.scheme_mask = config.initial_scheme.mask();
   int32_t p = -1;
-  switch (config.algorithm) {
-    case AlgorithmKind::kStatic:
-      break;
-    case AlgorithmKind::kDynamic: {
-      ProcessorSet f;
-      DynamicAllocation::SplitScheme(config.initial_scheme, &f, &p);
-      record.f_mask = f.mask();
-      break;
-    }
-    default: {
-      auto fallback = CreateAlgorithm(config.algorithm, cost_model_);
-      fallback->Reset(num_processors_, config.initial_scheme);
-      fallback_index_.Insert(slot, static_cast<uint32_t>(fallbacks_.size()));
-      fallbacks_.push_back(std::move(fallback));
-      break;
-    }
+  if (config.algorithm == AlgorithmKind::kDynamic) {
+    ProcessorSet f;
+    DynamicAllocation::SplitScheme(config.initial_scheme, &f, &p);
+    record.f_mask = f.mask();
   }
   record.meta = SlotRecord::PackMeta(config.algorithm,
                                      config.initial_scheme.Size(), p,
                                      /*next_f=*/0, /*crash_log_pos=*/0);
-  if (owns_directory_) directory_.Insert(id, slot);
   MarkDirty(slot);
   return slot;
 }
@@ -166,81 +140,61 @@ double ObjectShard::ServeSlot(uint32_t slot, const Request& request,
   double cost;
   const AlgorithmKind kind = record.kind();
   const int32_t t = record.t();
-  switch (kind) {
-    case AlgorithmKind::kStatic: {
-      // StaticAllocation::Decide specialized per branch: the scheme never
-      // changes, so the breakdown is a pure function of membership.
-      const CostEntry& costs = CostsFor(kind, t);
-      const ProcessorSet scheme(record.scheme_mask);
-      if (request.is_read()) {
-        if (scheme.Contains(i)) {
-          breakdown.io_ops = 1;
-          cost = costs.read_local;
-        } else {
-          breakdown.control_messages = 1;
-          breakdown.data_messages = 1;
-          breakdown.io_ops = 1;
-          cost = costs.read_remote;
-        }
+  if (kind == AlgorithmKind::kStatic) {
+    // StaticAllocation::Decide specialized per branch: the scheme never
+    // changes, so the breakdown is a pure function of membership.
+    const CostEntry& costs = CostsFor(kind, t);
+    const ProcessorSet scheme(record.scheme_mask);
+    if (request.is_read()) {
+      if (scheme.Contains(i)) {
+        breakdown.io_ops = 1;
+        cost = costs.read_local;
       } else {
-        // X == Q: no invalidations, |Q \ {i}| transfers, |Q| outputs.
-        const bool member = scheme.Contains(i);
-        breakdown.data_messages = t - (member ? 1 : 0);
-        breakdown.io_ops = t;
-        cost = member ? costs.write_a : costs.write_b;
+        breakdown.control_messages = 1;
+        breakdown.data_messages = 1;
+        breakdown.io_ops = 1;
+        cost = costs.read_remote;
       }
-      break;
+    } else {
+      // X == Q: no invalidations, |Q \ {i}| transfers, |Q| outputs.
+      const bool member = scheme.Contains(i);
+      breakdown.data_messages = t - (member ? 1 : 0);
+      breakdown.io_ops = t;
+      cost = member ? costs.write_a : costs.write_b;
     }
-    case AlgorithmKind::kDynamic: {
-      const CostEntry& costs = CostsFor(kind, t);
-      ProcessorSet scheme(record.scheme_mask);
-      if (request.is_read()) {
-        if (scheme.Contains(i)) {
-          breakdown.io_ops = 1;
-          cost = costs.read_local;
-        } else {
-          // Saving-read via the round-robin F member: one request, one
-          // transfer, one input at the server plus the saving output at i.
-          // Which F member serves is invisible to cost and scheme, but the
-          // round-robin index is kept in lockstep with the reference class.
-          const uint32_t f_size = static_cast<uint32_t>(t - 1);
-          record.set_next_f((record.next_f() + 1) % f_size);
-          scheme.Insert(i);
-          record.scheme_mask = scheme.mask();
-          breakdown.control_messages = 1;
-          breakdown.data_messages = 1;
-          breakdown.io_ops = 2;
-          cost = costs.read_remote;
-        }
+  } else {  // kDynamic: the only other kind ValidateConfig admits
+    const CostEntry& costs = CostsFor(kind, t);
+    ProcessorSet scheme(record.scheme_mask);
+    if (request.is_read()) {
+      if (scheme.Contains(i)) {
+        breakdown.io_ops = 1;
+        cost = costs.read_local;
       } else {
-        const ProcessorSet x = DynamicAllocation::WriteSet(
-            ProcessorSet(record.f_mask), record.p(), i);
-        // Invalidations reach the stale copies other than the writer's own.
-        const int64_t control = scheme.Minus(x).WithErased(i).Size();
-        breakdown.control_messages = control;
-        breakdown.data_messages = t - 1;
-        breakdown.io_ops = t;
-        cost = (static_cast<double>(control) * cost_model_.control +
-                costs.write_a) +
-               costs.write_b;
-        record.scheme_mask = x.mask();
+        // Saving-read via the round-robin F member: one request, one
+        // transfer, one input at the server plus the saving output at i.
+        // Which F member serves is invisible to cost and scheme, but the
+        // round-robin index is kept in lockstep with the reference class.
+        const uint32_t f_size = static_cast<uint32_t>(t - 1);
+        record.set_next_f((record.next_f() + 1) % f_size);
+        scheme.Insert(i);
+        record.scheme_mask = scheme.mask();
+        breakdown.control_messages = 1;
+        breakdown.data_messages = 1;
+        breakdown.io_ops = 2;
+        cost = costs.read_remote;
       }
-      break;
-    }
-    default: {
-      // Virtual fallback for the non-inlined kinds.
-      Decision decision = FallbackAt(slot)->Step(request);
-      model::AllocatedRequest entry{request, decision.execution_set,
-                                    request.is_read() && decision.saving};
-      ProcessorSet scheme(record.scheme_mask);
-      breakdown = model::RequestBreakdown(entry, scheme);
-      scheme = model::NextScheme(scheme, entry);
-      OBJALLOC_CHECK_GE(scheme.Size(), t)
-          << "algorithm violated the availability threshold of object "
-          << record.id;
-      record.scheme_mask = scheme.mask();
-      cost = breakdown.Cost(cost_model_);
-      break;
+    } else {
+      const ProcessorSet x = DynamicAllocation::WriteSet(
+          ProcessorSet(record.f_mask), record.p(), i);
+      // Invalidations reach the stale copies other than the writer's own.
+      const int64_t control = scheme.Minus(x).WithErased(i).Size();
+      breakdown.control_messages = control;
+      breakdown.data_messages = t - 1;
+      breakdown.io_ops = t;
+      cost = (static_cast<double>(control) * cost_model_.control +
+              costs.write_a) +
+             costs.write_b;
+      record.scheme_mask = x.mask();
     }
   }
   record.requests += 1;
@@ -380,80 +334,71 @@ double ObjectShard::ServeSlotFaulty(uint32_t slot, const Request& request,
     RepairScheme(&record, slot, live, event_index, injector, &ordinal,
                  &breakdown, stats);
   }
-  switch (kind) {
-    case AlgorithmKind::kStatic: {
-      const ProcessorSet scheme(record.scheme_mask);
-      if (request.is_read()) {
-        if (scheme.Contains(i)) {
-          breakdown.io_ops += 1;
-        } else {
-          ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
-                         &breakdown, stats);
-          ChargeMessages(/*control=*/false, 1, event_index, injector,
-                         &ordinal, &breakdown, stats);
-          breakdown.io_ops += 1;
-        }
+  if (kind == AlgorithmKind::kStatic) {
+    const ProcessorSet scheme(record.scheme_mask);
+    if (request.is_read()) {
+      if (scheme.Contains(i)) {
+        breakdown.io_ops += 1;
       } else {
-        // X = the (live) scheme: the lazy scrub evicted crashed members and
-        // entry repair restored |Q| = t, so the full-replication write rule
-        // is unchanged — only its transmissions can be lost.
-        const bool member = scheme.Contains(i);
-        const int64_t copies = scheme.Size();
-        ChargeMessages(/*control=*/false, copies - (member ? 1 : 0),
-                       event_index, injector, &ordinal, &breakdown, stats);
-        breakdown.io_ops += copies;
-      }
-      break;
-    }
-    case AlgorithmKind::kDynamic: {
-      if (request.is_read()) {
-        ProcessorSet scheme(record.scheme_mask);
-        if (scheme.Contains(i)) {
-          breakdown.io_ops += 1;
-        } else {
-          // Saving-read, as in ServeSlot; the serving F member is live by
-          // the scheme ⊆ live invariant.
-          const uint32_t f_size = static_cast<uint32_t>(t - 1);
-          record.set_next_f((record.next_f() + 1) % f_size);
-          scheme.Insert(i);
-          record.scheme_mask = scheme.mask();
-          ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
-                         &breakdown, stats);
-          ChargeMessages(/*control=*/false, 1, event_index, injector,
-                         &ordinal, &breakdown, stats);
-          breakdown.io_ops += 2;
-        }
-      } else {
-        // The rule's execution set intersected with the live world: the
-        // floating processor p is not part of the scheme between writes, so
-        // it can be dead without a preceding scrub — drop it here.
-        const ProcessorSet scheme(record.scheme_mask);
-        const ProcessorSet x =
-            DynamicAllocation::WriteSet(ProcessorSet(record.f_mask),
-                                        record.p(), i)
-                .Intersect(live);
-        const int64_t control = scheme.Minus(x).WithErased(i).Size();
-        ChargeMessages(/*control=*/true, control, event_index, injector,
-                       &ordinal, &breakdown, stats);
-        ChargeMessages(/*control=*/false,
-                       static_cast<int64_t>(x.WithErased(i).Size()),
-                       event_index, injector, &ordinal, &breakdown, stats);
-        breakdown.io_ops += x.Size();
-        record.scheme_mask = x.mask();
-        // Exit repair: the write itself may have shrunk the scheme below t
-        // (dead floating processor). Re-replicate before the event ends so
-        // the invariant holds at every event boundary.
-        if (static_cast<int32_t>(x.Size()) < t) [[unlikely]] {
-          RepairScheme(&record, slot, live, event_index, injector, &ordinal,
+        ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
                        &breakdown, stats);
-        }
+        ChargeMessages(/*control=*/false, 1, event_index, injector,
+                       &ordinal, &breakdown, stats);
+        breakdown.io_ops += 1;
       }
-      break;
+    } else {
+      // X = the (live) scheme: the lazy scrub evicted crashed members and
+      // entry repair restored |Q| = t, so the full-replication write rule
+      // is unchanged — only its transmissions can be lost.
+      const bool member = scheme.Contains(i);
+      const int64_t copies = scheme.Size();
+      ChargeMessages(/*control=*/false, copies - (member ? 1 : 0),
+                     event_index, injector, &ordinal, &breakdown, stats);
+      breakdown.io_ops += copies;
     }
-    default:
-      OBJALLOC_CHECK(false)
-          << "fault injection supports only inlined algorithm kinds (object "
-          << record.id << ")";
+  } else {  // kDynamic: the only other kind ValidateConfig admits
+    if (request.is_read()) {
+      ProcessorSet scheme(record.scheme_mask);
+      if (scheme.Contains(i)) {
+        breakdown.io_ops += 1;
+      } else {
+        // Saving-read, as in ServeSlot; the serving F member is live by
+        // the scheme ⊆ live invariant.
+        const uint32_t f_size = static_cast<uint32_t>(t - 1);
+        record.set_next_f((record.next_f() + 1) % f_size);
+        scheme.Insert(i);
+        record.scheme_mask = scheme.mask();
+        ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
+                       &breakdown, stats);
+        ChargeMessages(/*control=*/false, 1, event_index, injector,
+                       &ordinal, &breakdown, stats);
+        breakdown.io_ops += 2;
+      }
+    } else {
+      // The rule's execution set intersected with the live world: the
+      // floating processor p is not part of the scheme between writes, so
+      // it can be dead without a preceding scrub — drop it here.
+      const ProcessorSet scheme(record.scheme_mask);
+      const ProcessorSet x =
+          DynamicAllocation::WriteSet(ProcessorSet(record.f_mask),
+                                      record.p(), i)
+              .Intersect(live);
+      const int64_t control = scheme.Minus(x).WithErased(i).Size();
+      ChargeMessages(/*control=*/true, control, event_index, injector,
+                     &ordinal, &breakdown, stats);
+      ChargeMessages(/*control=*/false,
+                     static_cast<int64_t>(x.WithErased(i).Size()),
+                     event_index, injector, &ordinal, &breakdown, stats);
+      breakdown.io_ops += x.Size();
+      record.scheme_mask = x.mask();
+      // Exit repair: the write itself may have shrunk the scheme below t
+      // (dead floating processor). Re-replicate before the event ends so
+      // the invariant holds at every event boundary.
+      if (static_cast<int32_t>(x.Size()) < t) [[unlikely]] {
+        RepairScheme(&record, slot, live, event_index, injector, &ordinal,
+                     &breakdown, stats);
+      }
+    }
   }
   if (check_invariant) {
     const util::Status avail = model::CheckSchemeAvailable(
@@ -478,17 +423,13 @@ void ObjectShard::NoteCrash(ProcessorId p) {
   // re-checks after applying pending records, so an over-mark heals to a
   // no-op repair.
   for (uint32_t slot = 0; slot < slot_count_; ++slot) {
-    const SlotRecord& record = Slot(slot);
-    if (record.id >= 0 && ProcessorSet(record.scheme_mask).Contains(p)) {
-      MarkDegraded(slot);
-    }
+    if (ProcessorSet(Slot(slot).scheme_mask).Contains(p)) MarkDegraded(slot);
   }
 }
 
 void ObjectShard::FlushCrashLog(const CrashLog& crash_log) {
   for (uint32_t slot = 0; slot < slot_count_; ++slot) {
     SlotRecord& record = Slot(slot);
-    if (record.id < 0) continue;
     SyncSlotWithCrashes(&record, crash_log,
                         std::numeric_limits<size_t>::max());
     record.set_crash_log_pos(0);
@@ -542,26 +483,6 @@ int64_t ObjectShard::RepairAllDegraded(ProcessorSet live, size_t event_index,
   return stats->replicas_added - before;
 }
 
-util::StatusOr<double> ObjectShard::Serve(ObjectId id,
-                                          const Request& request) {
-  const uint32_t slot = SlotOf(id);
-  if (slot == kInvalidSlot) {
-    return util::Status::NotFound("unknown object " + std::to_string(id));
-  }
-  if (request.processor < 0 || request.processor >= num_processors_) {
-    return util::Status::OutOfRange("processor out of range");
-  }
-  return ServeSlot(slot, request, nullptr);
-}
-
-util::StatusOr<ObjectStats> ObjectShard::StatsFor(ObjectId id) const {
-  const uint32_t slot = SlotOf(id);
-  if (slot == kInvalidSlot) {
-    return util::Status::NotFound("unknown object " + std::to_string(id));
-  }
-  return StatsAt(slot);
-}
-
 ObjectStats ObjectShard::StatsAt(uint32_t slot) const {
   const SlotRecord& record = Slot(slot);
   ObjectStats stats;
@@ -575,8 +496,7 @@ std::vector<ObjectId> ObjectShard::SortedObjectIds() const {
   std::vector<ObjectId> ids;
   ids.reserve(object_count());
   for (uint32_t slot = 0; slot < slot_count_; ++slot) {
-    const ObjectId id = Slot(slot).id;
-    if (id >= 0) ids.push_back(id);
+    ids.push_back(Slot(slot).id);
   }
   std::sort(ids.begin(), ids.end());
   return ids;
@@ -586,25 +506,26 @@ void ObjectShard::AppendSnapshotHeader(std::string* out) const {
   util::AppendScalar(static_cast<uint64_t>(object_count()), out);
 }
 
+void ObjectShard::AppendSlotRecord(uint32_t slot, std::string* out) const {
+  using util::AppendScalar;
+  const SlotRecord& record = Slot(slot);
+  AppendScalar(record.id, out);
+  AppendScalar(static_cast<uint8_t>(record.kind()), out);
+  AppendScalar(record.t(), out);
+  AppendScalar(record.scheme_mask, out);
+  AppendScalar(record.f_mask, out);
+  AppendScalar(record.p(), out);
+  AppendScalar(record.next_f(), out);
+  AppendScalar(static_cast<uint64_t>(record.crash_log_pos()), out);
+  AppendScalar(record.requests, out);
+  AppendScalar(record.breakdown.control_messages, out);
+  AppendScalar(record.breakdown.data_messages, out);
+  AppendScalar(record.breakdown.io_ops, out);
+}
+
 void ObjectShard::AppendSnapshotSlots(uint32_t begin, uint32_t end,
                                       std::string* out) const {
-  using util::AppendScalar;
-  for (uint32_t slot = begin; slot < end; ++slot) {
-    const SlotRecord& record = Slot(slot);
-    if (record.id < 0) continue;  // free-listed hole
-    AppendScalar(record.id, out);
-    AppendScalar(static_cast<uint8_t>(record.kind()), out);
-    AppendScalar(record.t(), out);
-    AppendScalar(record.scheme_mask, out);
-    AppendScalar(record.f_mask, out);
-    AppendScalar(record.p(), out);
-    AppendScalar(record.next_f(), out);
-    AppendScalar(static_cast<uint64_t>(record.crash_log_pos()), out);
-    AppendScalar(record.requests, out);
-    AppendScalar(record.breakdown.control_messages, out);
-    AppendScalar(record.breakdown.data_messages, out);
-    AppendScalar(record.breakdown.io_ops, out);
-  }
+  for (uint32_t slot = begin; slot < end; ++slot) AppendSlotRecord(slot, out);
 }
 
 void ObjectShard::AppendSnapshotFooter(std::string* out) const {
@@ -626,13 +547,8 @@ void ObjectShard::AppendSnapshotFooter(std::string* out) const {
   }
 }
 
-void ObjectShard::AppendSnapshot(std::string* out) const {
-  AppendSnapshotHeader(out);
-  AppendSnapshotSlots(0, slot_count_, out);
-  AppendSnapshotFooter(out);
-}
-
-util::Status ObjectShard::RestoreSlotRecord(util::PayloadReader* reader) {
+util::Status ObjectShard::ReadSlotRecord(util::PayloadReader* reader,
+                                         SlotRecord* record) const {
   ObjectId id = -1;
   uint8_t kind_raw = 0;
   int32_t t = 0, p = -1;
@@ -654,49 +570,41 @@ util::Status ObjectShard::RestoreSlotRecord(util::PayloadReader* reader) {
   OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.io_ops));
   const AlgorithmKind kind = static_cast<AlgorithmKind>(kind_raw);
   if (kind != AlgorithmKind::kStatic && kind != AlgorithmKind::kDynamic) {
-    return util::Status::Internal(
-        "shard snapshot: non-inlined algorithm kind " +
-        std::to_string(kind_raw));
+    return util::Status::Internal("slot record: unknown algorithm kind " +
+                                  std::to_string(kind_raw));
   }
   if (t < 1 || t > num_processors_) {
-    return util::Status::Internal("shard snapshot: bad threshold " +
+    return util::Status::Internal("slot record: bad threshold " +
                                   std::to_string(t));
   }
   const ProcessorSet world = ProcessorSet::FirstN(num_processors_);
   if (!ProcessorSet(scheme_mask).IsSubsetOf(world) ||
       !ProcessorSet(f_mask).IsSubsetOf(world)) {
     return util::Status::Internal(
-        "shard snapshot: scheme names out-of-range processors");
+        "slot record: scheme names out-of-range processors");
   }
   if (p < -1 || p >= num_processors_) {
     return util::Status::Internal(
-        "shard snapshot: floating processor out of range");
+        "slot record: floating processor out of range");
   }
   // Bit-packing bounds: next_f indexes F (< t <= 64) and the crash-log
   // cursor rides the meta word's high half.
   if (next_f > 0x7F) {
-    return util::Status::Internal("shard snapshot: round-robin index " +
+    return util::Status::Internal("slot record: round-robin index " +
                                   std::to_string(next_f) + " out of range");
   }
   if (crash_log_pos > 0xFFFFFFFFull) {
-    return util::Status::Internal("shard snapshot: crash-log cursor " +
+    return util::Status::Internal("slot record: crash-log cursor " +
                                   std::to_string(crash_log_pos) +
                                   " out of range");
   }
-  if (owns_directory_ && directory_.Contains(id)) {
-    return util::Status::Internal("shard snapshot: duplicate object id " +
-                                  std::to_string(id));
-  }
-  const uint32_t slot = AllocateSlot();
-  SlotRecord& record = Slot(slot);
-  record.id = id;
-  record.scheme_mask = scheme_mask;
-  record.f_mask = f_mask;
-  record.meta = SlotRecord::PackMeta(kind, t, p, next_f,
-                                     static_cast<size_t>(crash_log_pos));
-  record.requests = requests;
-  record.breakdown = breakdown;
-  if (owns_directory_) directory_.Insert(id, slot);
+  record->id = id;
+  record->scheme_mask = scheme_mask;
+  record->f_mask = f_mask;
+  record->meta = SlotRecord::PackMeta(kind, t, p, next_f,
+                                      static_cast<size_t>(crash_log_pos));
+  record->requests = requests;
+  record->breakdown = breakdown;
   return util::Status::Ok();
 }
 
@@ -729,7 +637,7 @@ util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
   }
   if (!restore_.header_done && slot_count_ != 0) {
     return util::Status::Internal(
-        "RestoreSnapshot requires a freshly constructed shard");
+        "snapshot restore requires a freshly constructed shard");
   }
   std::string_view data = chunk;
   if (!restore_.carry.empty()) {
@@ -745,7 +653,9 @@ util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
   if (restore_.header_done) {
     while (restore_.restored < restore_.expected &&
            reader.remaining() >= kSnapshotSlotBytes) {
-      OBJALLOC_RETURN_IF_ERROR(RestoreSlotRecord(&reader));
+      SlotRecord record;
+      OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(&reader, &record));
+      Slot(AllocateSlot()) = record;
       ++restore_.restored;
     }
   }
@@ -763,14 +673,6 @@ util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
   std::string rest(data.substr(data.size() - reader.remaining()));
   restore_.carry = std::move(rest);
   return util::Status::Ok();
-}
-
-util::Status ObjectShard::RestoreSnapshot(std::string_view payload) {
-  if (slot_count_ != 0 || restore_.header_done) {
-    return util::Status::Internal(
-        "RestoreSnapshot requires a freshly constructed shard");
-  }
-  return RestoreSnapshotChunk(payload, /*last=*/true);
 }
 
 // --- Delta checkpoints --------------------------------------------------
@@ -841,24 +743,8 @@ void ObjectShard::AppendDeltaRange(uint32_t begin, uint32_t end,
   AppendScalar(begin, out);
   AppendScalar(end, out);
   for (uint32_t slot = begin; slot < end; ++slot) {
-    const SlotRecord& record = Slot(slot);
-    if (record.id < 0) {
-      AppendScalar(static_cast<uint8_t>(0), out);
-      continue;
-    }
-    AppendScalar(static_cast<uint8_t>(1), out);
-    AppendScalar(record.id, out);
-    AppendScalar(static_cast<uint8_t>(record.kind()), out);
-    AppendScalar(record.t(), out);
-    AppendScalar(record.scheme_mask, out);
-    AppendScalar(record.f_mask, out);
-    AppendScalar(record.p(), out);
-    AppendScalar(record.next_f(), out);
-    AppendScalar(static_cast<uint64_t>(record.crash_log_pos()), out);
-    AppendScalar(record.requests, out);
-    AppendScalar(record.breakdown.control_messages, out);
-    AppendScalar(record.breakdown.data_messages, out);
-    AppendScalar(record.breakdown.io_ops, out);
+    AppendScalar(static_cast<uint8_t>(1), out);  // present
+    AppendSlotRecord(slot, out);
   }
 }
 
@@ -868,76 +754,15 @@ util::Status ObjectShard::RestoreDeltaSlot(uint32_t slot,
                                            util::PayloadReader* reader) {
   uint8_t present = 0;
   OBJALLOC_RETURN_IF_ERROR(reader->Read(&present));
-  SlotRecord& record = Slot(slot);
-  if (present == 0) {
-    // The slot was empty at snapshot time. With no removal API this only
-    // names never-yet-allocated slots, but handle an occupied one anyway:
-    // the delta is authoritative for every slot it covers.
-    if (record.id >= 0) {
-      if (owns_directory_) directory_.Erase(record.id);
-      record = SlotRecord{};
-      free_slots_.push_back(slot);
-    }
-    return util::Status::Ok();
+  if (present != 1) {
+    // Objects are never removed, so every slot below the writer's span is
+    // occupied and no writer emits an absent one.
+    return util::Status::Internal("shard delta: slot " +
+                                  std::to_string(slot) + " marked absent");
   }
-  ObjectId id = -1;
-  uint8_t kind_raw = 0;
-  int32_t t = 0, p = -1;
-  uint64_t scheme_mask = 0, f_mask = 0, crash_log_pos = 0;
-  uint32_t next_f = 0;
-  int64_t requests = 0;
-  model::CostBreakdown breakdown;
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&id));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&kind_raw));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&t));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&scheme_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&f_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&p));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&next_f));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&crash_log_pos));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&requests));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.control_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.data_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.io_ops));
-  const AlgorithmKind kind = static_cast<AlgorithmKind>(kind_raw);
-  if (kind != AlgorithmKind::kStatic && kind != AlgorithmKind::kDynamic) {
-    return util::Status::Internal("shard delta: non-inlined algorithm kind " +
-                                  std::to_string(kind_raw));
-  }
-  if (t < 1 || t > num_processors_) {
-    return util::Status::Internal("shard delta: bad threshold " +
-                                  std::to_string(t));
-  }
-  const ProcessorSet world = ProcessorSet::FirstN(num_processors_);
-  if (!ProcessorSet(scheme_mask).IsSubsetOf(world) ||
-      !ProcessorSet(f_mask).IsSubsetOf(world)) {
-    return util::Status::Internal(
-        "shard delta: scheme names out-of-range processors");
-  }
-  if (p < -1 || p >= num_processors_) {
-    return util::Status::Internal(
-        "shard delta: floating processor out of range");
-  }
-  if (next_f > 0x7F || crash_log_pos > 0xFFFFFFFFull) {
-    return util::Status::Internal("shard delta: packed field out of range");
-  }
-  if (owns_directory_) {
-    if (record.id >= 0 && record.id != id) directory_.Erase(record.id);
-    const uint32_t existing = directory_.Find(id);
-    if (existing == kInvalidSlot) {
-      directory_.Insert(id, slot);
-    } else if (existing != slot) {
-      return util::Status::Internal("shard delta: duplicate object id " +
-                                    std::to_string(id));
-    }
-  }
-  record.id = id;
-  record.scheme_mask = scheme_mask;
-  record.f_mask = f_mask;
-  record.meta = SlotRecord::PackMeta(kind, t, p, next_f,
-                                     static_cast<size_t>(crash_log_pos));
-  record.requests = requests;
-  record.breakdown = breakdown;
+  SlotRecord record;
+  OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(reader, &record));
+  Slot(slot) = record;
   return util::Status::Ok();
 }
 

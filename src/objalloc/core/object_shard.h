@@ -13,8 +13,8 @@
 //     indexed by *slot*. Pages are allocated one at a time and never moved,
 //     so growing to the N-th object allocates O(page) — no vector-doubling
 //     copy of the whole shard, and a slot's address is stable for the
-//     shard's lifetime. Freed slots go on a free list for reuse (no
-//     removal API exists yet; the slab is built for one).
+//     shard's lifetime. Objects are never removed, so every slot below
+//     slot_span() is occupied.
 //   * A SlotRecord bit-packs the full inline SA/DA machine: identity, the
 //     scheme and DA core-set masks, and a meta word holding the dispatch
 //     tag, availability threshold, DA floating processor and round-robin
@@ -22,19 +22,15 @@
 //     and cost breakdown — exactly 64 bytes, one cache line per object.
 //   * The per-request cost scalars previously stored per object are a pure
 //     function of (kind, t) and the shard's cost model, so they live in one
-//     per-shard table of ≤ 3×65 entries, folded at construction in the
+//     per-shard table of ≤ 2×65 entries, folded at construction in the
 //     *same association order* as before — (ctrl*cc + cd-term) + cio-term —
 //     so the factoring-out cannot perturb a single result bit.
-//   * The common algorithms (SA, DA) dispatch by a switch on the packed
-//     tag — no heap indirection, no virtual Step() call. The
-//     std::unique_ptr<DomAlgorithm> virtual path remains only as the
-//     fallback for the non-inlined kinds (kAdaptive) and lives on a side
-//     table keyed by slot, so the dense common case pays it nothing.
-//   * The id → slot directory is optional: the ObjectService routes through
-//     its own global id → (shard, slot) table, so its shards skip the
-//     per-shard directory entirely (external-directory mode) instead of
-//     indexing every object twice. ObjectManager keeps the internal
-//     directory.
+//   * The paper's two algorithms (SA, DA) dispatch on the packed tag — no
+//     heap indirection, no virtual Step() call. They are the only kinds a
+//     shard serves; ValidateConfig refuses every other AlgorithmKind.
+//   * The shard keeps no id → slot map: the ObjectService routes through
+//     its own global id → (shard, slot) table and addresses the shard by
+//     slot only, so no object is indexed twice.
 //
 // Aggregate accounting (TotalBreakdown / TotalRequests) is maintained
 // incrementally on every served request, so the totals are O(1) reads
@@ -92,53 +88,40 @@ struct ObjectStats {
 
 class ObjectShard {
  public:
-  // Sentinel returned by SlotOf for unregistered ids.
+  // A slot index that never names an object (default ObjectHandle).
   static constexpr uint32_t kInvalidSlot =
       util::FlatDirectory<uint32_t>::kNotFound;
 
-  // With `external_directory` the shard keeps no id → slot map of its own:
-  // the owner (ObjectService) resolves ids through its global route table
-  // and addresses the shard by slot only. The id-keyed calls (SlotOf,
-  // HasObject, Serve(id), StatsFor(id)) must not be used in that mode.
-  ObjectShard(int num_processors, const model::CostModel& cost_model,
-              bool external_directory = false);
+  ObjectShard(int num_processors, const model::CostModel& cost_model);
 
   // Movable so ObjectService can hold shards by value.
   ObjectShard(ObjectShard&&) = default;
   ObjectShard& operator=(ObjectShard&&) = default;
 
-  // Registers an object and returns its dense slot. Fails on duplicate ids
-  // (internal-directory mode only — an external directory owns that check),
-  // empty or out-of-range schemes, and algorithm/threshold mismatches (DA
-  // needs t >= 2).
+  // Registers an object and returns its dense slot. Fails on empty or
+  // out-of-range schemes, kinds other than SA and DA, and
+  // algorithm/threshold mismatches (DA needs t >= 2). The duplicate-id
+  // check belongs to the owner's directory.
   util::StatusOr<uint32_t> AddObject(ObjectId id, const ObjectConfig& config);
 
-  // The validation half of AddObject, minus the duplicate-id check (that
-  // needs a directory). Static so the service layer can pre-validate a
-  // registration *before* write-ahead logging it: a logged AddObject record
-  // must never fail on replay.
+  // The validation half of AddObject. Static so the service layer can
+  // pre-validate a registration *before* write-ahead logging it: a logged
+  // AddObject record must never fail on replay.
   static util::Status ValidateConfig(const ObjectConfig& config,
                                      int num_processors);
 
-  // Sizes every internal table ahead of a bulk registration: the id → slot
-  // directory rehashes once and the slab pages for `expected_objects` slots
-  // are allocated up front, so the registration burst itself allocates
-  // nothing.
+  // Allocates the slab pages for `expected_objects` slots up front, so the
+  // registration burst itself allocates nothing.
   void Reserve(size_t expected_objects);
 
-  bool HasObject(ObjectId id) const { return directory_.Contains(id); }
-  size_t object_count() const { return slot_count_ - free_slots_.size(); }
+  size_t object_count() const { return slot_count_; }
   int num_processors() const { return num_processors_; }
 
-  // Heap bytes held by the shard: slab pages, directories, degraded
-  // registry, and fallback side table. The per-object cost of the engine is
+  // Heap bytes held by the shard: slab pages, cost table, degraded
+  // registry, and dirty bits. The per-object cost of the engine is
   // MemoryUsageBytes() / object_count() — bench/footprint_scaling budgets
   // it.
   size_t MemoryUsageBytes() const;
-
-  // Dense slot of `id`, or kInvalidSlot. One flat-directory probe —
-  // resolve once, then serve through the slot without hashing.
-  uint32_t SlotOf(ObjectId id) const { return directory_.Find(id); }
 
   // Id stored at `slot`; requires slot < slot_span(). Handle validation
   // cross-checks this against the handle's claimed id.
@@ -149,22 +132,14 @@ class ObjectShard {
   int32_t ThresholdAt(uint32_t slot) const { return Slot(slot).t(); }
   AlgorithmKind KindAt(uint32_t slot) const { return Slot(slot).kind(); }
 
-  // One past the highest slot ever allocated (free-list holes included);
-  // the iteration bound for slot-addressed walks like the snapshot writer.
+  // One past the highest slot allocated; the iteration bound for
+  // slot-addressed walks like the snapshot writer.
   uint32_t slot_span() const { return slot_count_; }
 
-  // True when any registered object runs through the virtual fallback
-  // (kAdaptive): those algorithms have no defined failure semantics, so the
-  // fault layer refuses to engage while one exists.
-  bool HasFallbackObjects() const { return !fallbacks_.empty(); }
-
-  // Serves one request against one object, returning the request's cost.
-  // Requests against the same object must arrive in stream order.
-  // Internal-directory mode only.
-  util::StatusOr<double> Serve(ObjectId id, const Request& request);
-
-  // Validation-free hot path: the caller has already resolved the slot
-  // (SlotOf / ObjectHandle) and admitted the request (processor in range).
+  // Serves one request against the object at `slot`, returning the
+  // request's cost. Requests against the same object must arrive in stream
+  // order. Validation-free hot path: the caller has already resolved the
+  // slot and admitted the request (processor in range).
   // The request's breakdown is additionally accumulated into `*delta` when
   // non-null so a batch can account its own traffic without re-walking the
   // shard.
@@ -181,8 +156,7 @@ class ObjectShard {
   // deterministic message-loss retries, and — when `check_invariant` —
   // asserts |scheme ∩ live| >= t afterwards. With an all-live set and no
   // loss draws this computes bit-identical costs and state transitions to
-  // ServeSlot (asserted by tests/fault_injection_test). Only inlinable
-  // kinds (SA, DA) are supported.
+  // ServeSlot (asserted by tests/fault_injection_test).
   double ServeSlotFaulty(uint32_t slot, const Request& request,
                          size_t event_index, ProcessorSet live,
                          const CrashLog& crash_log,
@@ -225,10 +199,6 @@ class ObjectShard {
   // core set after crashes) and not yet repaired.
   size_t degraded_count() const { return degraded_.size(); }
 
-  // Internal-directory mode only; the service resolves via its route table
-  // and calls StatsAt.
-  util::StatusOr<ObjectStats> StatsFor(ObjectId id) const;
-
   // Per-object accounting of the (valid, occupied) slot.
   ObjectStats StatsAt(uint32_t slot) const;
 
@@ -245,17 +215,11 @@ class ObjectShard {
 
   // --- Durability (core/checkpoint.h) ---------------------------------
   //
-  // The snapshot byte format is unchanged from durability format v1: a u64
-  // slot count, one 75-byte record per slot in slot order, lifetime
-  // aggregates, then the degraded registry. What changed in v2 is the
-  // *framing*: the writer streams the same bytes as header / bounded slot
-  // ranges / footer so a checkpoint never materializes the whole shard in
-  // memory, and the reader accepts arbitrary re-chunkings of the stream —
-  // a v1 full-blob payload is simply one big chunk.
-
-  // Serializes the shard's full state as one contiguous payload (the v1
-  // shape); equivalent to Header + Slots(0, slot_span()) + Footer.
-  void AppendSnapshot(std::string* out) const;
+  // The snapshot payload is a u64 slot count, one 75-byte record per slot
+  // in slot order, lifetime aggregates, then the degraded registry. The
+  // writer streams it as header / bounded slot ranges / footer so a
+  // checkpoint never materializes the whole shard in memory, and the
+  // reader accepts arbitrary re-chunkings of the stream.
 
   // Streaming writer: the slot count, then any partition of
   // [0, slot_span()) into ranges, then the aggregates + degraded registry.
@@ -267,28 +231,25 @@ class ObjectShard {
   // Restores a snapshot into a freshly constructed, still-empty shard built
   // with the writer's processor count and cost model, one chunk at a time
   // and in order; `last` marks the final chunk. Chunk boundaries are
-  // arbitrary (a partial slot record is carried to the next call), so the
-  // reader accepts both the v2 streamed ranges and a v1 full blob. Restored
-  // slots re-derive their cost constants from (kind, t) via the same table
-  // AddObject reads, so a restored slot is bit-identical to one that lived
-  // through the original run. Every field is range-checked; a payload that
-  // deserializes but violates an invariant (unknown kind, out-of-range
-  // scheme, duplicate id) is rejected as Internal — the caller falls back
-  // to an older checkpoint generation. In external-directory mode the id →
-  // slot directory is not rebuilt (the owner rebuilds its route table and
-  // owns the duplicate check).
+  // arbitrary (a partial slot record is carried to the next call).
+  // Restored slots re-derive their cost constants from (kind, t) via the
+  // same table AddObject reads, so a restored slot is bit-identical to one
+  // that lived through the original run. Every field is range-checked; a
+  // payload that deserializes but violates an invariant (unknown kind,
+  // out-of-range scheme) is rejected as Internal — the caller falls back
+  // to an older checkpoint generation. The owner rebuilds its id directory
+  // from IdAt and owns the duplicate check.
   util::Status RestoreSnapshotChunk(std::string_view chunk, bool last);
-
-  // One-shot restore of a full payload: RestoreSnapshotChunk(payload, true).
-  util::Status RestoreSnapshot(std::string_view payload);
 
   // --- Delta checkpoints (DESIGN.md §13) -------------------------------
   //
   // When armed, the shard keeps one dirty bit per slab page, set on every
   // slot mutation. A delta snapshot serializes only the dirty pages, as
-  // explicit [begin, end) slot ranges with a presence byte per slot,
-  // followed by the standard aggregate footer — its cost is proportional
-  // to the pages touched since the previous checkpoint, not to the shard.
+  // explicit [begin, end) slot ranges with a presence byte per slot
+  // (always 1: every slot below the span is occupied, and a reader
+  // rejects an absent one), followed by the standard aggregate footer —
+  // its cost is proportional to the pages touched since the previous
+  // checkpoint, not to the shard.
   // Restoring applies a delta *on top of* existing state (the base
   // snapshot, or an earlier delta), overwriting exactly the serialized
   // slots and replacing the aggregates and degraded registry.
@@ -323,17 +284,16 @@ class ObjectShard {
   // threshold, DA floating processor / round-robin index, and crash-log
   // cursor are bit-packed into one meta word:
   //
-  //   bits  0..3   algorithm kind            (AlgorithmKind, 3 values)
+  //   bits  0..3   algorithm kind            (kStatic or kDynamic)
   //   bits  4..10  t                         (1..64)
   //   bits 11..17  p + 1                     (0 encodes "no floating proc")
   //   bits 18..24  next_f                    (round-robin F index, < t-1)
   //   bits 32..63  crash_log_pos             (applied crash-log prefix)
   //
-  // Cost scalars live in the shard-level (kind, t) table, and the virtual
-  // fallback for non-inlined kinds on a slot-keyed side table, so neither
-  // widens the record.
+  // Cost scalars live in the shard-level (kind, t) table, so they do not
+  // widen the record.
   struct SlotRecord {
-    ObjectId id = -1;          // -1 marks a free-listed slot
+    ObjectId id = -1;          // -1 until the slot is registered
     uint64_t scheme_mask = 0;  // current allocation scheme
     uint64_t f_mask = 0;       // DA: core set F
     uint64_t meta = 0;
@@ -403,14 +363,9 @@ class ObjectShard {
                        static_cast<size_t>(t)];
   }
 
-  // Pops a free-listed slot or appends one, growing the slab by whole
-  // pages; never moves existing records.
+  // Appends one slot, growing the slab by whole pages; never moves
+  // existing records.
   uint32_t AllocateSlot();
-
-  // The virtual-fallback algorithm of a non-inlined slot.
-  DomAlgorithm* FallbackAt(uint32_t slot) const {
-    return fallbacks_[fallback_index_.Find(slot)].get();
-  }
 
   // Registers `slot` as degraded (idempotent).
   void MarkDegraded(uint32_t slot);
@@ -460,8 +415,12 @@ class ObjectShard {
     std::string carry;       // partial unit spanning a chunk boundary
   };
 
-  // Parses and installs one 75-byte snapshot slot record.
-  util::Status RestoreSlotRecord(util::PayloadReader* reader);
+  // The 75-byte slot record shared by full snapshots and deltas: written
+  // field by field, parsed with every field range-checked (Internal on a
+  // record no writer could have produced).
+  void AppendSlotRecord(uint32_t slot, std::string* out) const;
+  util::Status ReadSlotRecord(util::PayloadReader* reader,
+                              SlotRecord* record) const;
   // Parses the aggregates + degraded registry that close a snapshot.
   util::Status RestoreSnapshotFooter(util::PayloadReader* reader);
   // Parses one presence-prefixed delta slot unit into absolute `slot`.
@@ -481,21 +440,13 @@ class ObjectShard {
 
   int num_processors_;
   model::CostModel cost_model_;
-  bool owns_directory_;
 
-  // Slab storage: stable fixed-size pages of SlotRecords plus a free list.
+  // Slab storage: stable fixed-size pages of SlotRecords.
   std::vector<std::unique_ptr<SlotRecord[]>> pages_;
-  uint32_t slot_count_ = 0;  // slots ever allocated (span of the slab)
-  std::vector<uint32_t> free_slots_;
+  uint32_t slot_count_ = 0;  // slots allocated (span of the slab)
 
   // (kind, t) → precomputed cost scalars; filled at construction.
   std::vector<CostEntry> cost_table_;
-
-  util::FlatDirectory<uint32_t> directory_;  // id → slot (internal mode)
-
-  // Non-inlined kinds (kAdaptive): slot → index into the fallback vector.
-  util::FlatDirectory<uint32_t> fallback_index_;
-  std::vector<std::unique_ptr<DomAlgorithm>> fallbacks_;
 
   model::CostBreakdown total_breakdown_;
   int64_t total_requests_ = 0;

@@ -374,8 +374,9 @@ void Server::HandleRequest(Connection* conn, const Frame& frame) {
 void Server::HandleRegister(Connection* conn, const Frame& frame) {
   RegisterRequest request;
   util::Status status = ParseRegister(frame.payload, &request);
+  // The wire names the served kinds only (wire.h): SA and DA.
   if (status.ok() &&
-      request.algorithm > static_cast<uint8_t>(core::AlgorithmKind::kAdaptive)) {
+      request.algorithm > static_cast<uint8_t>(core::AlgorithmKind::kDynamic)) {
     status = util::Status::InvalidArgument("unknown algorithm kind");
   }
   if (status.ok() && draining_) {

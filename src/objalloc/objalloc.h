@@ -25,7 +25,7 @@
 #include "objalloc/core/dom_algorithm.h"
 #include "objalloc/core/dynamic_allocation.h"
 #include "objalloc/core/lookahead_allocation.h"
-#include "objalloc/core/object_manager.h"
+#include "objalloc/core/object_service.h"
 #include "objalloc/core/quorum_allocation.h"
 #include "objalloc/core/runner.h"
 #include "objalloc/core/static_allocation.h"

@@ -10,7 +10,7 @@
 
 #include "objalloc/cc/lock_manager.h"
 #include "objalloc/cc/serializer.h"
-#include "objalloc/core/object_manager.h"
+#include "objalloc/core/object_service.h"
 #include "objalloc/util/rng.h"
 
 namespace objalloc::cc {
@@ -273,18 +273,19 @@ TEST(SerializerTest, FeedsTheAllocationLayerEndToEnd) {
   Serializer serializer(6);
   auto serialized = serializer.Run(txns, 5);
 
-  core::ObjectManager manager(
-      6, model::CostModel::StationaryComputing(0.25, 1.0));
+  core::ObjectService service(
+      6, model::CostModel::StationaryComputing(0.25, 1.0),
+      core::ServiceOptions{.num_shards = 1});
   core::ObjectConfig config;
   config.initial_scheme = model::ProcessorSet{0, 1};
   for (const auto& [object, schedule] : serialized.schedules) {
-    ASSERT_TRUE(manager.AddObject(object, config).ok());
+    ASSERT_TRUE(service.AddObject(object, config).ok());
     for (const auto& request : schedule.requests()) {
-      ASSERT_TRUE(manager.Serve(object, request).ok());
+      ASSERT_TRUE(service.Serve(object, request).ok());
     }
   }
-  EXPECT_EQ(manager.TotalRequests(), 30 * 4);
-  EXPECT_GT(manager.TotalCost(), 0);
+  EXPECT_EQ(service.TotalRequests(), 30 * 4);
+  EXPECT_GT(service.TotalCost(), 0);
 }
 
 TEST(SerializerTest, RejectsDuplicateIds) {

@@ -7,8 +7,10 @@
 // histories — and assert exact state equality, never "close enough".
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -209,131 +211,6 @@ TEST(DurabilityTest, BitIdenticalAcrossShardAndThreadCounts) {
       EXPECT_EQ(Capture(*recovered), expected);
     }
   }
-}
-
-// --- Old-format compatibility -------------------------------------------
-
-// Rewrites a (v2, chunked) checkpoint file in the v1 monolithic framing:
-// the same header/state/footer payloads, each shard's chunks concatenated
-// back into one kShard record, version stamp 1. The shard payload bytes
-// are untouched — this is exactly the file a format-v1 writer produced.
-void DownConvertCheckpointToV1(const std::string& path) {
-  auto reader = CheckpointReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  std::string v1;
-  BeginCheckpoint(reader->sequence(), reader->config(), &v1, /*version=*/1);
-  std::vector<std::string> shard_payloads(reader->config().num_shards);
-  ServiceStateImage state;
-  bool saw_state = false;
-  for (;;) {
-    CheckpointReader::Piece piece;
-    auto status = reader->Next(&piece);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    if (piece.done) break;
-    if (piece.service_state) {
-      state = piece.state;
-      saw_state = true;
-      continue;
-    }
-    shard_payloads[piece.shard].append(piece.bytes);
-  }
-  ASSERT_TRUE(saw_state);
-  AppendServiceStateRecord(state, &v1);
-  for (const std::string& payload : shard_payloads) {
-    AppendShardRecord(payload, &v1);
-  }
-  FinishCheckpoint(static_cast<uint32_t>(shard_payloads.size()), &v1);
-  ASSERT_TRUE(util::WriteFileAtomic(path, v1).ok());
-}
-
-// Re-stamps a WAL's header record with format version 1 (the record layout
-// never changed across the version bump; only the stamp moves).
-void DownConvertWalToV1(const std::string& path) {
-  auto buffer = util::ReadFileToString(path);
-  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-  util::RecordCursor cursor(*buffer);
-  util::RecordView record;
-  ASSERT_TRUE(cursor.Next(&record));
-  ASSERT_EQ(record.type, static_cast<uint8_t>(WalRecordType::kWalHeader));
-  auto header = DecodeWalHeader(record.payload);
-  ASSERT_TRUE(header.ok()) << header.status().ToString();
-  std::string payload;
-  EncodeWalHeader(header->sequence, header->config, &payload, /*version=*/1);
-  std::string v1;
-  util::AppendRecord(static_cast<uint8_t>(WalRecordType::kWalHeader), payload,
-                     &v1);
-  // Everything after the header record rides along byte for byte.
-  v1.append(buffer->substr(util::kRecordHeaderSize + record.payload.size()));
-  ASSERT_TRUE(util::WriteFileAtomic(path, v1).ok());
-}
-
-// A durable directory written entirely in the old format — monolithic
-// snapshot blobs, v1 version stamps — must restore bit-identically through
-// the streaming reader, fall back across v1 generations, and keep
-// appending (the recovered service continues the history in the current
-// format).
-TEST(DurabilityTest, OldFormatV1GenerationsRestoreBitForBit) {
-  const std::string dir = FreshDir("durability_v1_compat");
-  const MultiObjectTrace trace = TestTrace(4000);
-  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  ServiceOptions options;
-  options.num_shards = 4;
-
-  StateImage expected;
-  {
-    ObjectService service(trace.num_processors, sc, options);
-    ASSERT_TRUE(service.EnableDurability(dir).ok());
-    RegisterObjects(service, trace.num_objects, TestConfig());
-    std::span<const MultiObjectEvent> events(trace.events);
-    ASSERT_TRUE(service.ServeBatch(events.first(2500)).ok());
-    ASSERT_TRUE(service.Checkpoint().ok());
-    ASSERT_TRUE(service.ServeBatch(events.subspan(2500)).ok());
-    expected = Capture(service);
-  }
-
-  // Rewrite every durable file the old writer would have produced: both
-  // retained snapshot generations and both WALs.
-  DownConvertCheckpointToV1(dir + "/" + CheckpointFileName(1));
-  DownConvertCheckpointToV1(dir + "/" + CheckpointFileName(2));
-  DownConvertWalToV1(dir + "/" + WalFileName(1));
-  DownConvertWalToV1(dir + "/" + WalFileName(2));
-
-  RecoveryReport report;
-  auto recovered = ObjectService::Recover(dir, {}, &report);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(Capture(*recovered), expected);
-  EXPECT_EQ(report.checkpoint_sequence, 2u);
-  EXPECT_FALSE(report.fell_back);
-
-  // Corrupt the newest v1 snapshot: recovery falls back to the older v1
-  // generation and replays both v1 WALs to the same state.
-  {
-    std::fstream file(dir + "/" + CheckpointFileName(2),
-                      std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good());
-    file.seekg(200);
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5a);  // guaranteed to differ
-    file.seekp(200);
-    file.write(&byte, 1);
-  }
-  auto fallback = ObjectService::Recover(dir, {}, &report);
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_EQ(Capture(*fallback), expected);
-  EXPECT_EQ(report.checkpoint_sequence, 1u);
-  EXPECT_TRUE(report.fell_back);
-
-  // The recovered service keeps the history appendable in the new format.
-  ASSERT_TRUE(fallback
-                  ->ServeBatch(std::span<const MultiObjectEvent>(trace.events)
-                                   .first(300))
-                  .ok());
-  const StateImage continued = Capture(*fallback);
-  { ObjectService drop = std::move(*fallback); }
-  auto again = ObjectService::Recover(dir);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(Capture(*again), continued);
 }
 
 // --- Torn-write sweep ---------------------------------------------------
@@ -648,23 +525,6 @@ TEST(DurabilityTest, FaultModeHistoryRecoversBitForBit) {
 
 // --- Preconditions and edge cases ---------------------------------------
 
-TEST(DurabilityTest, AdaptiveObjectsRefuseDurability) {
-  const std::string dir = FreshDir("durability_adaptive");
-  ObjectService service(4, CostModel::StationaryComputing(0.25, 1.0));
-  ASSERT_TRUE(service.AddObject(1, TestConfig(AlgorithmKind::kAdaptive)).ok());
-  auto status = service.EnableDurability(dir);
-  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-
-  // And under durability, registering one is refused up front — it must
-  // never reach the WAL, where it would poison replay.
-  ObjectService clean(4, CostModel::StationaryComputing(0.25, 1.0));
-  ASSERT_TRUE(clean.EnableDurability(dir).ok());
-  EXPECT_EQ(clean.AddObject(1, TestConfig(AlgorithmKind::kAdaptive)).code(),
-            util::StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(clean.durability_enabled()) << "refusal must not detach";
-  ASSERT_TRUE(clean.AddObject(2, TestConfig()).ok());
-}
-
 TEST(DurabilityTest, RejectedRegistrationIsNotLogged) {
   const std::string dir = FreshDir("durability_bad_add");
   ObjectService service(4, CostModel::StationaryComputing(0.25, 1.0));
@@ -832,6 +692,93 @@ TEST(DurabilityTest, DeltaChainRecoversAtEveryPrefix) {
     EXPECT_TRUE(report.manifest_missing);
     EXPECT_GT(report.delta_checkpoints_applied, 0u);
     EXPECT_EQ(Capture(*recovered), at_slice[2]);
+  }
+}
+
+// Objects are never removed, so every slot below a delta's span is
+// occupied: no writer marks one absent, and every slot a delta appends
+// arrives inside its ranges. A delta that breaks either rule — slot 0 of
+// shard 0 (occupied since the base) marked absent, or a span grown by a
+// slot no range fills — is corrupt: recovery must reject it and fall back
+// to the previous generation, replaying two WALs into the same history.
+TEST(DurabilityTest, DeltaWithAnUnoccupiedSlotFallsBack) {
+  const std::string dir = FreshDir("durability_delta_absent");
+  const MultiObjectTrace trace = TestTrace(1500);
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  DurabilityOptions durability;
+  durability.delta_chain_limit = 1;
+  StateImage expected;
+  {
+    ObjectService service(trace.num_processors, sc);
+    RegisterObjects(service, trace.num_objects, TestConfig());
+    ASSERT_TRUE(service.EnableDurability(dir, durability).ok());
+    std::span<const MultiObjectEvent> events(trace.events);
+    ASSERT_TRUE(service.ServeBatch(events.first(800)).ok());
+    ASSERT_TRUE(service.Checkpoint().ok());  // generation 2: a delta
+    ASSERT_TRUE(service.ServeBatch(events.subspan(800)).ok());
+    expected = Capture(service);
+  }
+  // Shard 0's delta payload: u64 span, u32 range count, then per range
+  // u32 begin, u32 end and one unit per slot (a presence byte plus the
+  // 75-byte slot record).
+  constexpr size_t kFirstUnit = 8 + 4 + 8;
+  const auto mark_first_slot_absent = [](std::string* shard0) {
+    uint32_t ranges = 0, begin = 0;
+    std::memcpy(&ranges, shard0->data() + 8, 4);
+    std::memcpy(&begin, shard0->data() + 12, 4);
+    ASSERT_GE(ranges, 1u);
+    ASSERT_EQ(begin, 0u);
+    ASSERT_EQ((*shard0)[kFirstUnit], 1) << "the writer marks slots present";
+    (*shard0)[kFirstUnit] = 0;  // absent: no record follows
+    shard0->erase(kFirstUnit + 1, 75);
+  };
+  const auto grow_span_unfilled = [](std::string* shard0) {
+    uint64_t span = 0;
+    std::memcpy(&span, shard0->data(), 8);
+    ++span;
+    std::memcpy(shard0->data(), &span, 8);
+  };
+  CopyDir(dir, dir + "_pristine");
+  for (const auto& corrupt : {std::function<void(std::string*)>(
+                                  mark_first_slot_absent),
+                              std::function<void(std::string*)>(
+                                  grow_span_unfilled)}) {
+    CopyDir(dir + "_pristine", dir);
+    const std::string path = dir + "/" + DeltaCheckpointFileName(2);
+    auto reader = CheckpointReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_TRUE(reader->is_delta());
+    std::vector<std::string> payloads(reader->config().num_shards);
+    ServiceStateImage state;
+    for (;;) {
+      CheckpointReader::Piece piece;
+      ASSERT_TRUE(reader->Next(&piece).ok());
+      if (piece.done) break;
+      if (piece.service_state) {
+        state = piece.state;
+      } else {
+        payloads[piece.shard].append(piece.bytes);
+      }
+    }
+    corrupt(&payloads[0]);
+    std::string file;
+    BeginDeltaCheckpoint(reader->sequence(), reader->parent(),
+                         reader->config(), &file);
+    AppendServiceStateRecord(state, &file);
+    for (size_t s = 0; s < payloads.size(); ++s) {
+      AppendShardChunkRecord(static_cast<uint32_t>(s), /*last=*/true,
+                             payloads[s], &file);
+    }
+    FinishCheckpoint(static_cast<uint32_t>(payloads.size()), &file);
+    ASSERT_TRUE(util::WriteFileAtomic(path, file).ok());
+
+    RecoveryReport report;
+    auto recovered = ObjectService::Recover(dir, durability, &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(report.fell_back);
+    EXPECT_EQ(report.checkpoint_sequence, 1u);
+    EXPECT_EQ(report.wal_files_replayed, 2u);
+    EXPECT_EQ(Capture(*recovered), expected);
   }
 }
 

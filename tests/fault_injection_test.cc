@@ -400,16 +400,6 @@ TEST(FaultInjectionTest, RepairDegradedEagerlyHealsEveryObject) {
   EXPECT_EQ(stats->scheme, (ProcessorSet{0, 2}));
 }
 
-TEST(FaultInjectionTest, EnableFaultsRejectsFallbackKinds) {
-  ObjectService service(4, kModel);
-  ObjectConfig config;
-  config.algorithm = AlgorithmKind::kAdaptive;
-  config.initial_scheme = ProcessorSet{0, 1};
-  ASSERT_TRUE(service.AddObject(0, config).ok());
-  util::Status status = service.EnableFaults(FaultInjectorOptions{});
-  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-}
-
 TEST(FaultInjectionTest, FaultModeGuardsAndStatusBoundaries) {
   ObjectService service(4, kModel);
   // Fault controls require fault mode.
@@ -424,17 +414,9 @@ TEST(FaultInjectionTest, FaultModeGuardsAndStatusBoundaries) {
   ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
   EXPECT_EQ(service.Crash(9).code(), util::StatusCode::kOutOfRange);
 
-  // Single-request Serve bypasses fault time: refused while armed.
-  EXPECT_EQ(service.Serve(0, model::Request::Read(0)).status().code(),
-            util::StatusCode::kFailedPrecondition);
-
-  // Registration under fault mode: fallback kinds and schemes born on
-  // crashed processors are refused.
+  // Registration under fault mode: schemes born on crashed processors are
+  // refused.
   ASSERT_TRUE(service.Crash(3).ok());
-  ObjectConfig adaptive = config;
-  adaptive.algorithm = AlgorithmKind::kAdaptive;
-  EXPECT_EQ(service.AddObject(1, adaptive).code(),
-            util::StatusCode::kFailedPrecondition);
   ObjectConfig dead = config;
   dead.initial_scheme = ProcessorSet{0, 3};
   EXPECT_EQ(service.AddObject(1, dead).code(),
@@ -453,6 +435,52 @@ TEST(FaultInjectionTest, FaultModeGuardsAndStatusBoundaries) {
   service.DisableFaults();
   EXPECT_FALSE(service.faults_enabled());
   EXPECT_TRUE(service.Serve(0, model::Request::Read(0)).ok());
+}
+
+// A single-request Serve is a one-event batch: in fault mode it advances
+// fault time by exactly one tick and costs exactly what ServeBatch of that
+// one event costs — refused issuers and lost messages included.
+TEST(FaultInjectionTest, SingleServeIsAOneEventBatch) {
+  ObjectConfig config;
+  config.algorithm = AlgorithmKind::kDynamic;
+  config.initial_scheme = ProcessorSet{0, 1};
+  FaultInjectorOptions options;
+  options.seed = 7;
+  options.control_loss_rate = 0.3;
+  options.data_loss_rate = 0.3;
+  const FaultSchedule schedule = {FaultEvent::Crash(1, 1),
+                                  FaultEvent::Recover(4, 1)};
+  ObjectService single(4, kModel);
+  ObjectService batched(4, kModel);
+  for (ObjectService* service : {&single, &batched}) {
+    ASSERT_TRUE(service->AddObject(0, config).ok());
+    ASSERT_TRUE(service->EnableFaults(options, schedule).ok());
+  }
+  const std::vector<model::Request> requests = {
+      model::Request::Read(2),  model::Request::Write(3),
+      model::Request::Read(1),  model::Request::Read(2),
+      model::Request::Write(0), model::Request::Read(1)};
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    auto cost = single.Serve(0, requests[i]);
+    const workload::MultiObjectEvent event{0, requests[i]};
+    auto batch = batched.ServeBatch({&event, 1});
+    ASSERT_TRUE(cost.ok()) << cost.status().ToString();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(*cost, batch->costs[0]);
+    EXPECT_EQ(single.live_processors(), batched.live_processors());
+  }
+  EXPECT_EQ(single.fault_stats().crashes, 1);
+  EXPECT_EQ(single.fault_stats().recoveries, 1);
+  EXPECT_EQ(single.fault_stats().unavailable_requests, 1)
+      << "the read issued by crashed processor 1";
+  EXPECT_EQ(single.fault_stats().unavailable_requests,
+            batched.fault_stats().unavailable_requests);
+  EXPECT_EQ(single.fault_stats().lost_control,
+            batched.fault_stats().lost_control);
+  EXPECT_EQ(single.fault_stats().lost_data, batched.fault_stats().lost_data);
+  EXPECT_EQ(single.StatsFor(0)->scheme, batched.StatsFor(0)->scheme);
+  EXPECT_EQ(single.TotalBreakdown(), batched.TotalBreakdown());
 }
 
 TEST(FaultInjectionTest, CreateAndBatchBoundariesReturnStatus) {

@@ -128,6 +128,31 @@ TEST(NetServerTest, PingRegisterReadWrite) {
   EXPECT_EQ(service.TotalRequests(), 2);
 }
 
+// The wire names the served kinds only (static = 0, dynamic = 1). Byte 2
+// (the offline-only adaptive allocator) is refused with InvalidArgument —
+// with or without durability — and registers nothing.
+TEST(NetServerTest, RegisterRefusesKindsOutsideSaAndDa) {
+  ObjectService service = MakeService();
+  ServerHarness harness(&service);
+  ASSERT_TRUE(harness.start_status().ok()) << harness.start_status().ToString();
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
+  ASSERT_TRUE(client.Register(1, kSchemeMask, /*algorithm=*/1).ok());
+  auto before = client.QueryStats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(client.Register(2, kSchemeMask, /*algorithm=*/2).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(client.connected());
+  auto after = client.QueryStats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->objects, before->objects);
+  EXPECT_EQ(after->objects, 1u);
+
+  harness.Shutdown();
+  EXPECT_FALSE(service.HasObject(2));
+}
+
 TEST(NetServerTest, BatchIsAllOrNothing) {
   ObjectService service = MakeService();
   ServerHarness harness(&service);

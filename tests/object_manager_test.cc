@@ -1,7 +1,15 @@
+// Per-object management on a one-shard ObjectService, the serial reference
+// of the determinism contract: unknown objects and out-of-range processors
+// are refused, one object costs exactly what a standalone run of the
+// virtual DA class costs, objects are isolated from each other, aggregates
+// sum over objects; plus the multi-object trace generator that feeds it.
+
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "objalloc/core/dynamic_allocation.h"
-#include "objalloc/core/object_manager.h"
+#include "objalloc/core/object_service.h"
 #include "objalloc/core/runner.h"
 #include "objalloc/workload/multi_object.h"
 
@@ -10,114 +18,85 @@ namespace {
 
 using model::CostModel;
 
-ObjectManager MakeManager(int n = 8) {
-  return ObjectManager(n, CostModel::StationaryComputing(0.5, 1.0));
-}
-
-TEST(ObjectManagerTest, AddObjectValidation) {
-  ObjectManager manager = MakeManager();
+ObjectConfig TestConfig() {
   ObjectConfig config;
   config.initial_scheme = ProcessorSet{0, 1};
-  EXPECT_TRUE(manager.AddObject(1, config).ok());
-  EXPECT_FALSE(manager.AddObject(1, config).ok()) << "duplicate id";
-  config.initial_scheme = ProcessorSet{};
-  EXPECT_FALSE(manager.AddObject(2, config).ok()) << "empty scheme";
-  config.initial_scheme = ProcessorSet{0, 63};
-  EXPECT_FALSE(manager.AddObject(3, config).ok()) << "outside the system";
-  config.initial_scheme = ProcessorSet{0};
   config.algorithm = AlgorithmKind::kDynamic;
-  EXPECT_FALSE(manager.AddObject(4, config).ok()) << "DA needs t >= 2";
-  config.algorithm = AlgorithmKind::kStatic;
-  EXPECT_TRUE(manager.AddObject(5, config).ok()) << "SA tolerates t = 1";
+  return config;
 }
 
-TEST(ObjectManagerTest, ServeUnknownObjectFails) {
-  ObjectManager manager = MakeManager();
-  auto result = manager.Serve(42, Request::Read(0));
+// One shard, so every request runs in place, in stream order.
+ObjectService OneShard(int num_processors, const CostModel& model) {
+  return ObjectService(num_processors, model, ServiceOptions{.num_shards = 1});
+}
+
+ObjectService MakeService(int n = 8) {
+  return OneShard(n, CostModel::StationaryComputing(0.5, 1.0));
+}
+
+TEST(ObjectManagementTest, ServeUnknownObjectFails) {
+  ObjectService service = MakeService();
+  auto result = service.Serve(42, Request::Read(0));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound);
 }
 
-TEST(ObjectManagerTest, ServeOutOfRangeProcessorFails) {
-  ObjectManager manager = MakeManager(4);
-  ObjectConfig config;
-  config.initial_scheme = ProcessorSet{0, 1};
-  ASSERT_TRUE(manager.AddObject(1, config).ok());
-  EXPECT_FALSE(manager.Serve(1, Request::Read(7)).ok());
+TEST(ObjectManagementTest, ServeOutOfRangeProcessorFails) {
+  ObjectService service = MakeService(4);
+  ASSERT_TRUE(service.AddObject(1, TestConfig()).ok());
+  EXPECT_EQ(service.Serve(1, Request::Read(7)).status().code(),
+            util::StatusCode::kOutOfRange);
+  EXPECT_EQ(service.TotalRequests(), 0);
 }
 
-TEST(ObjectManagerTest, PerObjectCostMatchesStandaloneRun) {
-  // One object managed through the manager must cost exactly what a
-  // standalone DA run costs.
+TEST(ObjectManagementTest, PerObjectCostMatchesStandaloneRun) {
+  // One object served through the service must cost exactly what a
+  // standalone run of the virtual DA class costs.
   CostModel sc = CostModel::StationaryComputing(0.5, 1.0);
-  ObjectManager manager(8, sc);
-  ObjectConfig config;
-  config.initial_scheme = ProcessorSet{0, 1};
-  ASSERT_TRUE(manager.AddObject(7, config).ok());
+  ObjectService service = OneShard(8, sc);
+  ASSERT_TRUE(service.AddObject(7, TestConfig()).ok());
 
   model::Schedule schedule =
       model::Schedule::Parse(8, "r5 r5 w2 r3 w0 r5").value();
   double total = 0;
   for (const auto& request : schedule.requests()) {
-    auto cost = manager.Serve(7, request);
+    auto cost = service.Serve(7, request);
     ASSERT_TRUE(cost.ok());
     total += *cost;
   }
   DynamicAllocation da;
   RunResult reference = RunWithCost(da, sc, schedule, ProcessorSet{0, 1});
   EXPECT_DOUBLE_EQ(total, reference.cost);
-  auto stats = manager.StatsFor(7);
+  auto stats = service.StatsFor(7);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->breakdown, reference.breakdown);
   EXPECT_EQ(stats->scheme, reference.allocation.FinalScheme());
 }
 
-TEST(ObjectManagerTest, ObjectsAreIsolated) {
-  ObjectManager manager = MakeManager();
-  ObjectConfig config;
-  config.initial_scheme = ProcessorSet{0, 1};
-  ASSERT_TRUE(manager.AddObject(1, config).ok());
-  ASSERT_TRUE(manager.AddObject(2, config).ok());
+TEST(ObjectManagementTest, ObjectsAreIsolated) {
+  ObjectService service = MakeService();
+  ASSERT_TRUE(service.AddObject(1, TestConfig()).ok());
+  ASSERT_TRUE(service.AddObject(2, TestConfig()).ok());
   // A write to object 1 must not invalidate object 2's replicas.
-  ASSERT_TRUE(manager.Serve(2, Request::Read(5)).ok());  // 5 joins obj 2
-  ASSERT_TRUE(manager.Serve(1, Request::Write(3)).ok());
-  auto stats2 = manager.StatsFor(2);
+  ASSERT_TRUE(service.Serve(2, Request::Read(5)).ok());  // 5 joins obj 2
+  ASSERT_TRUE(service.Serve(1, Request::Write(3)).ok());
+  auto stats2 = service.StatsFor(2);
   ASSERT_TRUE(stats2.ok());
   EXPECT_TRUE(stats2->scheme.Contains(5));
 }
 
-TEST(ObjectManagerTest, MixedAlgorithmsPerObject) {
-  ObjectManager manager = MakeManager();
-  ObjectConfig dynamic;
-  dynamic.initial_scheme = ProcessorSet{0, 1};
-  dynamic.algorithm = AlgorithmKind::kDynamic;
-  ObjectConfig fixed;
-  fixed.initial_scheme = ProcessorSet{2, 3};
-  fixed.algorithm = AlgorithmKind::kStatic;
-  ASSERT_TRUE(manager.AddObject(1, dynamic).ok());
-  ASSERT_TRUE(manager.AddObject(2, fixed).ok());
-
-  ASSERT_TRUE(manager.Serve(1, Request::Read(6)).ok());
-  ASSERT_TRUE(manager.Serve(2, Request::Read(6)).ok());
-  // DA saves at the reader, SA does not.
-  EXPECT_TRUE(manager.StatsFor(1)->scheme.Contains(6));
-  EXPECT_FALSE(manager.StatsFor(2)->scheme.Contains(6));
-}
-
-TEST(ObjectManagerTest, AggregatesAcrossObjects) {
-  ObjectManager manager = MakeManager();
-  ObjectConfig config;
-  config.initial_scheme = ProcessorSet{0, 1};
+TEST(ObjectManagementTest, AggregatesAcrossObjects) {
+  ObjectService service = MakeService();
   for (ObjectId id = 0; id < 10; ++id) {
-    ASSERT_TRUE(manager.AddObject(id, config).ok());
+    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
   }
-  EXPECT_EQ(manager.object_count(), 10u);
+  EXPECT_EQ(service.object_count(), 10u);
   for (ObjectId id = 0; id < 10; ++id) {
-    ASSERT_TRUE(manager.Serve(id, Request::Read(0)).ok());
+    ASSERT_TRUE(service.Serve(id, Request::Read(0)).ok());
   }
-  EXPECT_EQ(manager.TotalRequests(), 10);
-  EXPECT_EQ(manager.TotalBreakdown().io_ops, 10);
-  EXPECT_DOUBLE_EQ(manager.TotalCost(), 10.0);
+  EXPECT_EQ(service.TotalRequests(), 10);
+  EXPECT_EQ(service.TotalBreakdown().io_ops, 10);
+  EXPECT_DOUBLE_EQ(service.TotalCost(), 10.0);
 }
 
 TEST(MultiObjectTraceTest, GeneratorValidation) {
@@ -161,23 +140,21 @@ TEST(MultiObjectTraceTest, PopularityIsSkewed) {
   EXPECT_GT(counts[0], counts[static_cast<size_t>(options.num_objects - 1)] * 3);
 }
 
-TEST(MultiObjectTraceTest, EndToEndThroughManager) {
+TEST(MultiObjectTraceTest, EndToEndThroughOneShardService) {
   workload::MultiObjectOptions options;
   options.length = 2000;
   auto trace = workload::GenerateMultiObjectTrace(options, 11);
 
-  ObjectManager manager(options.num_processors,
-                        CostModel::StationaryComputing(0.25, 1.0));
-  ObjectConfig config;
-  config.initial_scheme = ProcessorSet{0, 1};
+  ObjectService service = OneShard(options.num_processors,
+                                   CostModel::StationaryComputing(0.25, 1.0));
   for (int id = 0; id < options.num_objects; ++id) {
-    ASSERT_TRUE(manager.AddObject(id, config).ok());
+    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
   }
   for (const auto& event : trace.events) {
-    ASSERT_TRUE(manager.Serve(event.object, event.request).ok());
+    ASSERT_TRUE(service.Serve(event.object, event.request).ok());
   }
-  EXPECT_EQ(manager.TotalRequests(), static_cast<int64_t>(options.length));
-  EXPECT_GT(manager.TotalCost(), 0.0);
+  EXPECT_EQ(service.TotalRequests(), static_cast<int64_t>(options.length));
+  EXPECT_GT(service.TotalCost(), 0.0);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // The service layer's determinism contract: the sharded, batched
-// ObjectService must be bit-identical to the serial ObjectManager for every
-// shard count and every thread count, the streaming paths must equal the
-// materialized path event for event, and batch admission must be atomic.
+// ObjectService must be bit-identical to a one-shard service driven one
+// request at a time, for every shard count and every thread count; the
+// streaming paths must equal the materialized path event for event; batch
+// admission must be atomic; and registration validates exactly the
+// configurations the engine can serve.
 
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "objalloc/core/object_manager.h"
 #include "objalloc/core/object_service.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/event_source.h"
@@ -48,13 +50,23 @@ void RegisterObjects(ObjectService& service, const MultiObjectTrace& trace,
   }
 }
 
+// The serial reference: one shard, so every request runs in place, in
+// stream order, on one ObjectShard.
+ObjectService OneShard(int num_processors, const CostModel& model) {
+  return ObjectService(num_processors, model, ServiceOptions{.num_shards = 1});
+}
+
+ObjectService MakeService(int n = 8) {
+  return OneShard(n, CostModel::StationaryComputing(0.5, 1.0));
+}
+
 TEST(ObjectServiceTest, ShardedBatchedMatchesSerialBitForBit) {
   const MultiObjectTrace trace = TestTrace();
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   const ObjectConfig config = TestConfig();
 
-  // Reference: the serial single-shard ObjectManager, request by request.
-  ObjectManager reference(trace.num_processors, sc);
+  // Reference: a one-shard service, request by request.
+  ObjectService reference = OneShard(trace.num_processors, sc);
   for (int id = 0; id < trace.num_objects; ++id) {
     ASSERT_TRUE(reference.AddObject(id, config).ok());
   }
@@ -112,26 +124,26 @@ TEST(ObjectServiceTest, ShardedBatchedMatchesSerialBitForBit) {
   }
 }
 
-TEST(ObjectServiceTest, SingleServePathMatchesManager) {
+TEST(ObjectServiceTest, SingleServePathMatchesOneShardBatch) {
   const MultiObjectTrace trace = TestTrace(500);
   const CostModel mc = CostModel::MobileComputing(0.5, 1.0);
-  ObjectManager manager(trace.num_processors, mc);
+  ObjectService batched = OneShard(trace.num_processors, mc);
   ServiceOptions options;
   options.num_shards = 7;  // not a divisor of anything interesting
   ObjectService service(trace.num_processors, mc, options);
   const ObjectConfig config = TestConfig();
   for (int id = 0; id < trace.num_objects; ++id) {
-    ASSERT_TRUE(manager.AddObject(id, config).ok());
+    ASSERT_TRUE(batched.AddObject(id, config).ok());
     ASSERT_TRUE(service.AddObject(id, config).ok());
   }
-  for (const auto& event : trace.events) {
-    auto want = manager.Serve(event.object, event.request);
-    auto got = service.Serve(event.object, event.request);
-    ASSERT_TRUE(want.ok());
+  auto want = batched.ServeBatch(trace.events);
+  ASSERT_TRUE(want.ok());
+  for (size_t i = 0; i < trace.events.size(); ++i) {
+    auto got = service.Serve(trace.events[i].object, trace.events[i].request);
     ASSERT_TRUE(got.ok());
-    ASSERT_EQ(*got, *want);
+    ASSERT_EQ(*got, want->costs[i]) << "event " << i;
   }
-  EXPECT_EQ(service.TotalBreakdown(), manager.TotalBreakdown());
+  EXPECT_EQ(service.TotalBreakdown(), batched.TotalBreakdown());
 }
 
 TEST(ObjectServiceTest, BatchRejectsUnknownObjectAtomically) {
@@ -171,22 +183,59 @@ TEST(ObjectServiceTest, BatchRejectsOutOfRangeProcessorAtomically) {
   EXPECT_EQ(rejected.status().code(), util::StatusCode::kOutOfRange);
 }
 
-TEST(ObjectServiceTest, AddObjectValidationMatchesManagerRules) {
-  ObjectService service(8, CostModel::StationaryComputing(0.5, 1.0));
-  ObjectConfig config;
-  config.initial_scheme = ProcessorSet{0, 1};
-  EXPECT_TRUE(service.AddObject(1, config).ok());
-  EXPECT_FALSE(service.AddObject(1, config).ok()) << "duplicate id";
-  config.initial_scheme = ProcessorSet{};
-  EXPECT_FALSE(service.AddObject(2, config).ok()) << "empty scheme";
-  config.initial_scheme = ProcessorSet{0, 63};
-  EXPECT_FALSE(service.AddObject(3, config).ok()) << "outside the system";
-  config.initial_scheme = ProcessorSet{0};
-  config.algorithm = AlgorithmKind::kDynamic;
-  EXPECT_FALSE(service.AddObject(4, config).ok()) << "DA needs t >= 2";
-  EXPECT_EQ(service.object_count(), 1u);
-  EXPECT_TRUE(service.HasObject(1));
-  EXPECT_FALSE(service.HasObject(4));
+TEST(ObjectServiceTest, AddObjectValidation) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ObjectService service(8, CostModel::StationaryComputing(0.5, 1.0),
+                          ServiceOptions{.num_shards = shards});
+    ObjectConfig config;
+    config.initial_scheme = ProcessorSet{0, 1};
+    EXPECT_TRUE(service.AddObject(1, config).ok());
+    EXPECT_EQ(service.AddObject(1, config).code(),
+              util::StatusCode::kInvalidArgument)
+        << "duplicate id";
+    config.initial_scheme = ProcessorSet{};
+    EXPECT_FALSE(service.AddObject(2, config).ok()) << "empty scheme";
+    config.initial_scheme = ProcessorSet{0, 63};
+    EXPECT_FALSE(service.AddObject(3, config).ok()) << "outside the system";
+    config.initial_scheme = ProcessorSet{0};
+    config.algorithm = AlgorithmKind::kDynamic;
+    EXPECT_FALSE(service.AddObject(4, config).ok()) << "DA needs t >= 2";
+    EXPECT_EQ(service.object_count(), 1u);
+    EXPECT_TRUE(service.HasObject(1));
+    EXPECT_FALSE(service.HasObject(4));
+    config.algorithm = AlgorithmKind::kStatic;
+    EXPECT_TRUE(service.AddObject(5, config).ok()) << "SA tolerates t = 1";
+  }
+}
+
+// The engine serves the paper's SA and DA only. Any other kind is refused
+// at registration with InvalidArgument — plain, in fault mode, and under
+// durability, where the refusal happens before the WAL sees the record.
+TEST(ObjectServiceTest, AddObjectRefusesKindsOutsideSaAndDa) {
+  ObjectConfig adaptive = TestConfig(AlgorithmKind::kAdaptive);
+  ObjectService plain = MakeService();
+  EXPECT_EQ(plain.AddObject(1, adaptive).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(plain.HasObject(1));
+
+  ObjectService faulty = MakeService();
+  ASSERT_TRUE(faulty.EnableFaults(FaultInjectorOptions{}).ok());
+  EXPECT_EQ(faulty.AddObject(1, adaptive).code(),
+            util::StatusCode::kInvalidArgument);
+
+  const std::string dir = ::testing::TempDir() + "/service_adaptive";
+  std::filesystem::remove_all(dir);
+  ObjectService durable = MakeService();
+  ASSERT_TRUE(durable.EnableDurability(dir).ok());
+  EXPECT_EQ(durable.AddObject(1, adaptive).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(durable.durability_enabled()) << "refusal must not detach";
+  ASSERT_TRUE(durable.AddObject(2, TestConfig()).ok());
+  ASSERT_TRUE(durable.DisableDurability().ok());
+  auto recovered = ObjectService::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->SortedObjectIds(), std::vector<ObjectId>{2});
 }
 
 TEST(EventSourceTest, GeneratorSourceEqualsMaterializedTrace) {
@@ -347,19 +396,21 @@ TEST(ObjectServiceTest, IncrementalTotalsMatchPerObjectSums) {
 
 TEST(ObjectServiceTest, MixedAlgorithmsAcrossShards) {
   const CostModel sc = CostModel::StationaryComputing(0.5, 1.0);
-  ServiceOptions options;
-  options.num_shards = 4;
-  ObjectService service(8, sc, options);
-  ASSERT_TRUE(service.AddObject(1, TestConfig(AlgorithmKind::kDynamic)).ok());
-  ASSERT_TRUE(service.AddObject(2, TestConfig(AlgorithmKind::kStatic)).ok());
-  std::vector<MultiObjectEvent> batch = {
-      {1, model::Request::Read(6)},
-      {2, model::Request::Read(6)},
-  };
-  ASSERT_TRUE(service.ServeBatch(batch).ok());
-  // DA saves at the reader, SA does not; objects stay isolated.
-  EXPECT_TRUE(service.StatsFor(1)->scheme.Contains(6));
-  EXPECT_FALSE(service.StatsFor(2)->scheme.Contains(6));
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ObjectService service(8, sc, ServiceOptions{.num_shards = shards});
+    ASSERT_TRUE(
+        service.AddObject(1, TestConfig(AlgorithmKind::kDynamic)).ok());
+    ASSERT_TRUE(service.AddObject(2, TestConfig(AlgorithmKind::kStatic)).ok());
+    std::vector<MultiObjectEvent> batch = {
+        {1, model::Request::Read(6)},
+        {2, model::Request::Read(6)},
+    };
+    ASSERT_TRUE(service.ServeBatch(batch).ok());
+    // DA saves at the reader, SA does not; objects stay isolated.
+    EXPECT_TRUE(service.StatsFor(1)->scheme.Contains(6));
+    EXPECT_FALSE(service.StatsFor(2)->scheme.Contains(6));
+  }
 }
 
 }  // namespace

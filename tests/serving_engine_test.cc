@@ -1,9 +1,10 @@
 // The devirtualized serving engine's contracts (DESIGN.md §8): the inline
 // SA/DA dispatch in ObjectShard is bit-identical to the virtual reference
-// classes, the handle-addressed path is bit-identical to the id-addressed
-// path for every shard x thread configuration, stale or tampered handles are
-// rejected atomically, and the steady-state batch path performs zero heap
-// allocations (asserted through a global operator-new counting hook).
+// classes run through RunWithCost, the handle-addressed path is
+// bit-identical to the id-addressed path for every shard x thread
+// configuration, stale or tampered handles are rejected atomically, and
+// the steady-state batch path performs zero heap allocations (asserted
+// through a global operator-new counting hook).
 
 #include <atomic>
 #include <cstdlib>
@@ -15,10 +16,11 @@
 #include <gtest/gtest.h>
 
 #include "objalloc/core/dom_algorithm.h"
-#include "objalloc/core/object_manager.h"
 #include "objalloc/core/object_service.h"
+#include "objalloc/core/runner.h"
 #include "objalloc/model/allocation_schedule.h"
 #include "objalloc/model/cost_evaluator.h"
+#include "objalloc/model/schedule.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/multi_object.h"
 
@@ -75,6 +77,30 @@ void RegisterObjects(ObjectService& service, const MultiObjectTrace& trace,
   }
 }
 
+// One synchronous batch through the engine: SubmitBatch + WaitBatch into a
+// caller-owned (recyclable) result.
+template <typename EventT>
+util::Status ServeInto(ObjectService& service, std::span<const EventT> events,
+                       BatchResult* result) {
+  BatchTicket ticket;
+  OBJALLOC_RETURN_IF_ERROR(service.SubmitBatch(events, result, &ticket));
+  return service.WaitBatch(&ticket);
+}
+
+util::StatusOr<BatchResult> ServeHandles(ObjectService& service,
+                                         std::span<const HandleEvent> events) {
+  BatchResult result;
+  OBJALLOC_RETURN_IF_ERROR(ServeInto(service, events, &result));
+  return result;
+}
+
+// A one-event handle batch.
+util::Status ServeHandle(ObjectService& service, const ObjectHandle& handle,
+                         const Request& request) {
+  const HandleEvent event{handle, request};
+  return ServeHandles(service, {&event, 1}).status();
+}
+
 std::vector<HandleEvent> ResolveAll(const ObjectService& service,
                                     const MultiObjectTrace& trace) {
   std::vector<ObjectHandle> handles(trace.num_objects);
@@ -91,68 +117,63 @@ std::vector<HandleEvent> ResolveAll(const ObjectService& service,
   return events;
 }
 
-// The engine's core identity: the inline SA/DA switch in ObjectShard must
-// be the same function as the virtual DomAlgorithm reference path, request
-// for request — exact double equality, exact breakdowns, exact schemes.
+// The engine's core identity: a one-shard service — the inline SA/DA
+// dispatch in ObjectShard — must be the same function as the virtual
+// StaticAllocation / DynamicAllocation classes run through RunWithCost,
+// request for request: exact double equality, exact breakdowns, exact
+// schemes.
 TEST(ServingEngineTest, InlineDispatchMatchesVirtualReference) {
   const MultiObjectTrace trace = TestTrace();
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  for (AlgorithmKind kind : {AlgorithmKind::kStatic, AlgorithmKind::kDynamic,
-                             AlgorithmKind::kAdaptive}) {
+  for (AlgorithmKind kind : {AlgorithmKind::kStatic, AlgorithmKind::kDynamic}) {
     SCOPED_TRACE(AlgorithmKindToString(kind));
     const ObjectConfig config = TestConfig(kind);
+    ObjectService service(trace.num_processors, sc,
+                          ServiceOptions{.num_shards = 1});
+    RegisterObjects(service, trace, config);
+    auto served =
+        service.ServeBatch(std::span<const MultiObjectEvent>(trace.events));
+    ASSERT_TRUE(served.ok());
 
-    ObjectShard shard(trace.num_processors, sc);
-    // Reference: one virtual algorithm instance per object, stepped through
-    // the model-layer cost evaluator exactly as the pre-devirtualization
-    // serving path did.
-    struct Reference {
-      std::unique_ptr<DomAlgorithm> algorithm;
-      ProcessorSet scheme;
-      model::CostBreakdown breakdown;
-    };
-    std::vector<Reference> references(trace.num_objects);
-    for (int id = 0; id < trace.num_objects; ++id) {
-      ASSERT_TRUE(shard.AddObject(id, config).ok());
-      references[id].algorithm = CreateAlgorithm(kind, sc);
-      references[id].algorithm->Reset(trace.num_processors,
-                                      config.initial_scheme);
-      references[id].scheme = config.initial_scheme;
-    }
-
-    for (const MultiObjectEvent& event : trace.events) {
-      Reference& ref = references[event.object];
-      Decision decision = ref.algorithm->Step(event.request);
-      model::AllocatedRequest entry{event.request, decision.execution_set,
-                                    event.request.is_read() &&
-                                        decision.saving};
-      const model::CostBreakdown expected =
-          model::RequestBreakdown(entry, ref.scheme);
-      ref.scheme = model::NextScheme(ref.scheme, entry);
-      ref.breakdown += expected;
-
-      auto cost = shard.Serve(event.object, event.request);
-      ASSERT_TRUE(cost.ok());
-      EXPECT_EQ(*cost, expected.Cost(sc));
+    // Reference: each object's own request stream, run through a fresh
+    // virtual algorithm instance and priced by the model-layer evaluator.
+    std::vector<std::vector<Request>> requests(trace.num_objects);
+    std::vector<std::vector<size_t>> positions(trace.num_objects);
+    for (size_t i = 0; i < trace.events.size(); ++i) {
+      requests[trace.events[i].object].push_back(trace.events[i].request);
+      positions[trace.events[i].object].push_back(i);
     }
     for (int id = 0; id < trace.num_objects; ++id) {
-      auto stats = shard.StatsFor(id);
+      std::unique_ptr<DomAlgorithm> algorithm = CreateAlgorithm(kind, sc);
+      const RunResult run = RunWithCost(
+          *algorithm, sc, model::Schedule(trace.num_processors, requests[id]),
+          config.initial_scheme);
+      ProcessorSet scheme = config.initial_scheme;
+      for (size_t k = 0; k < run.allocation.size(); ++k) {
+        const model::AllocatedRequest& entry = run.allocation[k];
+        ASSERT_EQ(served->costs[positions[id][k]],
+                  model::RequestBreakdown(entry, scheme).Cost(sc))
+            << "object " << id << " request " << k;
+        scheme = model::NextScheme(scheme, entry);
+      }
+      auto stats = service.StatsFor(id);
       ASSERT_TRUE(stats.ok());
-      EXPECT_EQ(stats->scheme.mask(), references[id].scheme.mask());
-      EXPECT_EQ(stats->breakdown, references[id].breakdown);
+      EXPECT_EQ(stats->scheme.mask(), run.allocation.FinalScheme().mask());
+      EXPECT_EQ(stats->breakdown, run.breakdown);
     }
   }
 }
 
 // Handle-addressed serving must be bit-identical to id-addressed serving —
-// and both to the serial ObjectManager — for every shard count and thread
-// count, per-event costs included.
+// and both to a one-shard service driven one request at a time — for every
+// shard count and thread count, per-event costs included.
 TEST(ServingEngineTest, HandlePathMatchesIdPathBitForBit) {
   const MultiObjectTrace trace = TestTrace();
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   const ObjectConfig config = TestConfig();
 
-  ObjectManager reference(trace.num_processors, sc);
+  ObjectService reference(trace.num_processors, sc,
+                          ServiceOptions{.num_shards = 1});
   for (int id = 0; id < trace.num_objects; ++id) {
     ASSERT_TRUE(reference.AddObject(id, config).ok());
   }
@@ -186,7 +207,8 @@ TEST(ServingEngineTest, HandlePathMatchesIdPathBitForBit) {
       for (size_t pos = 0; pos < trace.events.size(); pos += kBatch) {
         const size_t n = std::min(kBatch, trace.events.size() - pos);
         auto id_batch = by_id.ServeBatch(id_span.subspan(pos, n));
-        auto handle_batch = by_handle.ServeBatch(handle_span.subspan(pos, n));
+        auto handle_batch =
+            ServeHandles(by_handle, handle_span.subspan(pos, n));
         ASSERT_TRUE(id_batch.ok());
         ASSERT_TRUE(handle_batch.ok());
         ASSERT_EQ(id_batch->costs.size(), n);
@@ -234,19 +256,19 @@ TEST(ServingEngineTest, StaleAndTamperedHandlesAreRejected) {
   // A default-constructed handle, an out-of-range shard or slot, and a
   // handle whose claimed id disagrees with what the slot holds must all be
   // rejected — never dereferenced.
-  EXPECT_EQ(service.Serve(ObjectHandle{}, read).status().code(),
+  EXPECT_EQ(ServeHandle(service, ObjectHandle{}, read).code(),
             util::StatusCode::kInvalidArgument);
   ObjectHandle bad_shard = good;
   bad_shard.shard = 99;
-  EXPECT_EQ(service.Serve(bad_shard, read).status().code(),
+  EXPECT_EQ(ServeHandle(service, bad_shard, read).code(),
             util::StatusCode::kInvalidArgument);
   ObjectHandle bad_slot = good;
   bad_slot.slot = 12345;
-  EXPECT_EQ(service.Serve(bad_slot, read).status().code(),
+  EXPECT_EQ(ServeHandle(service, bad_slot, read).code(),
             util::StatusCode::kInvalidArgument);
   ObjectHandle bad_id = good;
   bad_id.id = 2;  // registered object, wrong route
-  EXPECT_EQ(service.Serve(bad_id, read).status().code(),
+  EXPECT_EQ(ServeHandle(service, bad_id, read).code(),
             util::StatusCode::kInvalidArgument);
 
   // Handles do not transfer between services: a route resolved against a
@@ -257,7 +279,7 @@ TEST(ServingEngineTest, StaleAndTamperedHandlesAreRejected) {
   const bool foreign_same_route =
       foreign.shard == good.shard && foreign.slot == good.slot;
   if (!foreign_same_route) {
-    EXPECT_FALSE(service.Serve(foreign, read).ok());
+    EXPECT_FALSE(ServeHandle(service, foreign, read).ok());
   }
 
   // Batch admission stays atomic on the handle path: one bad handle rejects
@@ -265,17 +287,17 @@ TEST(ServingEngineTest, StaleAndTamperedHandlesAreRejected) {
   const int64_t before = service.TotalRequests();
   std::vector<HandleEvent> batch = {HandleEvent{good, read},
                                     HandleEvent{bad_id, read}};
-  auto result = service.ServeBatch(std::span<const HandleEvent>(batch));
+  auto result = ServeHandles(service, batch);
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(service.TotalRequests(), before);
 
   // The good handle still serves after all the rejections.
-  EXPECT_TRUE(service.Serve(good, read).ok());
+  EXPECT_TRUE(ServeHandle(service, good, read).ok());
 }
 
 // The scratch-arena contract: after one warm-up batch, repeated batches
 // allocate nothing — on the id path, the handle path, and ServeStream's
-// inner loop equivalent (ServeBatchInto with recycled storage).
+// inner loop equivalent (SubmitBatch + WaitBatch with recycled storage).
 TEST(ServingEngineTest, SteadyStateBatchesDoNotAllocate) {
   const MultiObjectTrace trace = TestTrace(2048);
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
@@ -290,17 +312,17 @@ TEST(ServingEngineTest, SteadyStateBatchesDoNotAllocate) {
   std::span<const HandleEvent> handle_span(handle_events);
   BatchResult result;
   // Warm-up: sizes routes_ and result->costs to the maximal batch.
-  ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-  ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
+  ASSERT_TRUE(ServeInto(service, id_span, &result).ok());
+  ASSERT_TRUE(ServeInto(service, handle_span, &result).ok());
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
+    ASSERT_TRUE(ServeInto(service, id_span, &result).ok());
+    ASSERT_TRUE(ServeInto(service, handle_span, &result).ok());
   }
   const int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
-      << "steady-state ServeBatchInto must not touch the heap";
+      << "steady-state synchronous batches must not touch the heap";
 }
 
 // The same contract on the shard-executor path (threads > 1): once the
@@ -327,11 +349,11 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   // twice through the maximal batch on both entries so each context's
   // per-shard op lists reach steady capacity (contexts are visited
   // round-robin, so 2 x depth batches guarantee two visits each).
-  ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
+  ASSERT_TRUE(ServeInto(service, id_span, &result).ok());
   const size_t rounds = 2 * ShardExecutor::kDefaultDepth;
   for (size_t round = 0; round < rounds; ++round) {
-    ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
+    ASSERT_TRUE(ServeInto(service, id_span, &result).ok());
+    ASSERT_TRUE(ServeInto(service, handle_span, &result).ok());
     const int cur = static_cast<int>(round % 2);
     if (!tickets[cur].completed) {
       ASSERT_TRUE(service.WaitBatch(&tickets[cur]).ok());
@@ -343,8 +365,8 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
+    ASSERT_TRUE(ServeInto(service, id_span, &result).ok());
+    ASSERT_TRUE(ServeInto(service, handle_span, &result).ok());
     const int cur = round % 2;
     if (!tickets[cur].completed) {
       ASSERT_TRUE(service.WaitBatch(&tickets[cur]).ok());
@@ -359,7 +381,7 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
 }
 
 // ReserveObjects pre-sizes every table a registration touches — the route
-// directory, each shard's slot pages, the free lists — so a registration
+// directory and each shard's slot pages — so a registration
 // burst inside the reserved envelope never touches the heap. This is the
 // contract that makes pre-sized million-object loads O(1) allocations.
 TEST(ServingEngineTest, PostReserveRegistrationDoesNotAllocate) {
