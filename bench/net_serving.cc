@@ -47,7 +47,6 @@
 #include "objalloc/net/client.h"
 #include "objalloc/net/server.h"
 #include "objalloc/net/wire.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/rng.h"
 #include "objalloc/util/stats.h"
@@ -507,12 +506,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  uint32_t replay_crc = 0;
-  for (core::ObjectId id : replay.SortedObjectIds()) {
-    const uint64_t mask = replay.StatsFor(id)->scheme.mask();
-    replay_crc = util::Crc32(&id, sizeof(id), replay_crc);
-    replay_crc = util::Crc32(&mask, sizeof(mask), replay_crc);
-  }
+  const uint32_t replay_crc = replay.SchemeCrc();
   const model::CostBreakdown replay_breakdown = replay.TotalBreakdown();
   OBJALLOC_CHECK_EQ(wire_stats.admitted_events, total_admitted)
       << "server admitted counter disagrees with client-side ok replies";

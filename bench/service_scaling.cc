@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "objalloc/core/object_service.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/multi_object.h"
@@ -77,16 +76,6 @@ core::ObjectConfig ServiceConfig() {
   config.initial_scheme = model::ProcessorSet{0, 1};
   config.algorithm = core::AlgorithmKind::kDynamic;
   return config;
-}
-
-uint32_t SchemeCrc(const core::ObjectService& service) {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
 }
 
 // High-water RSS of this process so far (ru_maxrss is KiB on Linux).
@@ -290,7 +279,7 @@ int main(int argc, char** argv) {
         if (r == 0 || seconds < best) best = seconds;
         fingerprint.breakdown = service.TotalBreakdown();
         fingerprint.requests = service.TotalRequests();
-        fingerprint.scheme_crc = SchemeCrc(service);
+        fingerprint.scheme_crc = service.SchemeCrc();
         memory_bytes = service.MemoryUsageBytes();
       }
       if (!have_reference) {
@@ -344,7 +333,7 @@ int main(int argc, char** argv) {
         if (r == 0 || seconds < handle_best) handle_best = seconds;
         handle_fingerprint.breakdown = service.TotalBreakdown();
         handle_fingerprint.requests = service.TotalRequests();
-        handle_fingerprint.scheme_crc = SchemeCrc(service);
+        handle_fingerprint.scheme_crc = service.SchemeCrc();
       }
       OBJALLOC_CHECK(handle_fingerprint == reference)
           << "shards=" << shards << " threads=" << threads
@@ -396,7 +385,7 @@ int main(int argc, char** argv) {
         if (r == 0 || seconds < pipelined_best) pipelined_best = seconds;
         pipelined_fingerprint.breakdown = service.TotalBreakdown();
         pipelined_fingerprint.requests = service.TotalRequests();
-        pipelined_fingerprint.scheme_crc = SchemeCrc(service);
+        pipelined_fingerprint.scheme_crc = service.SchemeCrc();
       }
       OBJALLOC_CHECK(pipelined_fingerprint == reference)
           << "shards=" << shards << " threads=" << threads

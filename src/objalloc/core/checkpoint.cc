@@ -202,11 +202,8 @@ util::Status WriteManifest(const std::string& dir, const Manifest& manifest) {
   AppendScalar(kManifestMagic, &payload);
   AppendScalar(kDurabilityFormatVersion, &payload);
   AppendScalar(manifest.sequence, &payload);
+  AppendScalar(manifest.base_sequence, &payload);
   manifest.config.AppendTo(&payload);
-  // Trailing so pre-delta manifests (which end at the config) still parse.
-  AppendScalar(
-      manifest.base_sequence == 0 ? manifest.sequence : manifest.base_sequence,
-      &payload);
   std::string framed;
   AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kManifest), payload,
                &framed);
@@ -238,44 +235,29 @@ util::StatusOr<Manifest> ReadManifest(const std::string& dir) {
                                   std::to_string(version));
   }
   OBJALLOC_RETURN_IF_ERROR(reader.Read(&manifest.sequence));
+  OBJALLOC_RETURN_IF_ERROR(reader.Read(&manifest.base_sequence));
   auto config = DurableConfig::Parse(&reader);
   if (!config.ok()) return config.status();
   manifest.config = *config;
   if (manifest.sequence == 0) {
     return util::Status::Internal("manifest: zero sequence");
   }
-  if (reader.exhausted()) {
-    manifest.base_sequence = manifest.sequence;  // pre-delta manifest
-  } else {
-    OBJALLOC_RETURN_IF_ERROR(reader.Read(&manifest.base_sequence));
-    if (manifest.base_sequence == 0 ||
-        manifest.base_sequence > manifest.sequence) {
-      return util::Status::Internal("manifest: bad base sequence");
-    }
+  if (manifest.base_sequence == 0 ||
+      manifest.base_sequence > manifest.sequence) {
+    return util::Status::Internal("manifest: bad base sequence");
   }
   return manifest;
 }
 
-void BeginCheckpoint(uint64_t sequence, const DurableConfig& config,
-                     std::string* out) {
-  std::string payload;
-  AppendScalar(kCheckpointMagic, &payload);
-  AppendScalar(kDurabilityFormatVersion, &payload);
-  AppendScalar(sequence, &payload);
-  config.AppendTo(&payload);
-  AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kCkptHeader),
-               payload, out);
-}
-
-void BeginDeltaCheckpoint(uint64_t sequence, uint64_t parent,
-                          const DurableConfig& config, std::string* out) {
+void BeginCheckpoint(uint64_t sequence, uint64_t parent,
+                     const DurableConfig& config, std::string* out) {
   std::string payload;
   AppendScalar(kCheckpointMagic, &payload);
   AppendScalar(kDurabilityFormatVersion, &payload);
   AppendScalar(sequence, &payload);
   AppendScalar(parent, &payload);
   config.AppendTo(&payload);
-  AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kDeltaHeader),
+  AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kCkptHeader),
                payload, out);
 }
 
@@ -306,26 +288,13 @@ void FinishCheckpoint(uint32_t shard_count, std::string* out) {
 }
 
 util::StatusOr<CheckpointWriter> CheckpointWriter::Open(
-    const std::string& path, uint64_t sequence, const DurableConfig& config) {
-  auto file = util::AtomicFileWriter::Open(path);
-  if (!file.ok()) return file.status();
-  CheckpointWriter writer;
-  writer.file_ = std::move(*file);
-  writer.record_.clear();
-  BeginCheckpoint(sequence, config, &writer.record_);
-  OBJALLOC_RETURN_IF_ERROR(writer.file_.Append(writer.record_));
-  return writer;
-}
-
-util::StatusOr<CheckpointWriter> CheckpointWriter::OpenDelta(
     const std::string& path, uint64_t sequence, uint64_t parent,
     const DurableConfig& config) {
   auto file = util::AtomicFileWriter::Open(path);
   if (!file.ok()) return file.status();
   CheckpointWriter writer;
   writer.file_ = std::move(*file);
-  writer.record_.clear();
-  BeginDeltaCheckpoint(sequence, parent, config, &writer.record_);
+  BeginCheckpoint(sequence, parent, config, &writer.record_);
   OBJALLOC_RETURN_IF_ERROR(writer.file_.Append(writer.record_));
   return writer;
 }
@@ -392,13 +361,9 @@ util::StatusOr<CheckpointReader> CheckpointReader::Open(
   uint8_t type = 0;
   bool eof = false;
   OBJALLOC_RETURN_IF_ERROR(reader.ReadRecord(&type, &eof));
-  if (eof ||
-      (type != static_cast<uint8_t>(CheckpointRecordType::kCkptHeader) &&
-       type != static_cast<uint8_t>(CheckpointRecordType::kDeltaHeader))) {
+  if (eof || type != static_cast<uint8_t>(CheckpointRecordType::kCkptHeader)) {
     return util::Status::Internal("checkpoint: missing header record");
   }
-  reader.is_delta_ =
-      type == static_cast<uint8_t>(CheckpointRecordType::kDeltaHeader);
   PayloadReader payload(reader.payload_);
   uint32_t magic = 0;
   OBJALLOC_RETURN_IF_ERROR(payload.Read(&magic));
@@ -412,12 +377,14 @@ util::StatusOr<CheckpointReader> CheckpointReader::Open(
                                   std::to_string(version));
   }
   OBJALLOC_RETURN_IF_ERROR(payload.Read(&reader.sequence_));
-  if (reader.is_delta_) {
-    OBJALLOC_RETURN_IF_ERROR(payload.Read(&reader.parent_));
-    if (reader.parent_ == 0 || reader.parent_ >= reader.sequence_) {
-      return util::Status::Internal(
-          "checkpoint: delta names an impossible parent generation");
-    }
+  OBJALLOC_RETURN_IF_ERROR(payload.Read(&reader.parent_));
+  if (reader.parent_ >= reader.sequence_) {
+    return util::Status::Internal(
+        "checkpoint: header names an impossible parent generation");
+  }
+  if (path.ends_with(".delta") != (reader.parent_ != 0)) {
+    return util::Status::Internal(
+        "checkpoint: file name and header disagree on full vs delta");
   }
   auto config = DurableConfig::Parse(&payload);
   if (!config.ok()) return config.status();

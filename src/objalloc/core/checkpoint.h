@@ -3,16 +3,17 @@
 //
 // A durability directory holds, per *generation* g:
 //
-//   checkpoint-<g>.ckpt   full-state snapshot: every shard's slot table
+//   checkpoint-<g>.ckpt   full snapshot: every shard's whole slot table
 //                         (schemes, DA core sets, per-object accounting,
 //                         crash-log cursors) plus the service-level fault
 //                         state (live set, crash journal, injector cursor,
 //                         fault stats) — written via temp file + fsync +
-//                         atomic rename
-//   checkpoint-<g>.delta  delta snapshot (DESIGN.md §13): only the slab
-//                         pages dirtied since generation g-1, chained onto
-//                         the newest full snapshot at or below g; restoring
-//                         g means full base + deltas base+1..g in order
+//                         atomic rename; its header names parent 0
+//   checkpoint-<g>.delta  delta snapshot (DESIGN.md §13): the same payload
+//                         holding only the slab pages dirtied since
+//                         generation g-1, whose header names parent g-1;
+//                         restoring g means the newest full snapshot at or
+//                         below g, then deltas base+1..g in order
 //   wal-<g>.log           the admission-stream WAL appended since that
 //                         snapshot (core/wal.h)
 //   MANIFEST              atomically-replaced pointer {format version,
@@ -48,12 +49,12 @@ namespace objalloc::core {
 // On-disk record types of checkpoint and manifest files (persisted values;
 // disjoint from WalRecordType so a misfiled buffer is caught immediately).
 enum class CheckpointRecordType : uint8_t {
-  kCkptHeader = 16,
+  kCkptHeader = 16,  // names the sequence and the parent (0 = full)
   kServiceState = 17,
   // 18 was the monolithic shard record of a retired format; never reuse.
   kCkptFooter = 19,
   kShardChunk = 20,  // bounded slice of one shard's payload
-  kDeltaHeader = 21, // delta snapshot header: names its parent generation
+  // 21 was the separate delta header of a retired format; never reuse.
   kManifest = 32,
 };
 
@@ -195,9 +196,7 @@ struct Manifest {
   uint64_t sequence = 0;
   // Newest *full* snapshot at or below `sequence`: recovery restores it,
   // then applies the delta chain base+1..sequence. Equals `sequence` when
-  // the current generation's snapshot is itself full (WriteManifest treats
-  // a zero base as "same as sequence"; pre-delta manifests omit the field
-  // and parse the same way).
+  // the current generation's snapshot is itself full.
   uint64_t base_sequence = 0;
   DurableConfig config;
 };
@@ -212,13 +211,11 @@ util::StatusOr<Manifest> ReadManifest(const std::string& dir);
 // streams them through CheckpointWriter below; tests use them directly to
 // craft damaged files.
 
-void BeginCheckpoint(uint64_t sequence, const DurableConfig& config,
-                     std::string* out);
-// Header of a delta snapshot: same shape plus the parent generation the
-// delta applies on top of (sequence - 1; the chain bottoms out at the full
-// snapshot the manifest names as base_sequence).
-void BeginDeltaCheckpoint(uint64_t sequence, uint64_t parent,
-                          const DurableConfig& config, std::string* out);
+// The header names the generation the snapshot applies on top of: 0 for a
+// full snapshot, sequence - 1 for a delta (the chain bottoms out at the
+// full snapshot the manifest names as base_sequence).
+void BeginCheckpoint(uint64_t sequence, uint64_t parent,
+                     const DurableConfig& config, std::string* out);
 void AppendServiceStateRecord(const ServiceStateImage& image,
                               std::string* out);
 void AppendShardChunkRecord(uint32_t shard_index, bool last,
@@ -238,16 +235,12 @@ class CheckpointWriter {
   // (~150 KiB) fits in a single chunk.
   static constexpr size_t kChunkBytes = 256 * 1024;
 
+  // `parent` as in BeginCheckpoint; shard bytes carry the range-snapshot
+  // payload (ObjectShard::AppendRangeHeader/AppendRange) either way.
   static util::StatusOr<CheckpointWriter> Open(const std::string& path,
                                                uint64_t sequence,
+                                               uint64_t parent,
                                                const DurableConfig& config);
-  // Same stream shape, but the header is a kDeltaHeader naming `parent`,
-  // and shard bytes carry the dirty-range delta payload
-  // (ObjectShard::AppendDeltaHeader/AppendDeltaRange) instead of a full
-  // snapshot.
-  static util::StatusOr<CheckpointWriter> OpenDelta(
-      const std::string& path, uint64_t sequence, uint64_t parent,
-      const DurableConfig& config);
 
   CheckpointWriter() = default;
   CheckpointWriter(CheckpointWriter&&) = default;
@@ -277,8 +270,9 @@ class CheckpointWriter {
 
 // --- Streaming checkpoint reader ---------------------------------------
 // Reads a checkpoint file record by record through a bounded buffer;
-// enforces the format version, record order, CRCs, the footer count, and
-// a byte-exact end of file.
+// enforces the format version, that the file name (.ckpt / .delta) agrees
+// with the header's parent (0 / nonzero), record order, CRCs, the footer
+// count, and a byte-exact end of file.
 
 class CheckpointReader {
  public:
@@ -290,9 +284,7 @@ class CheckpointReader {
 
   uint64_t sequence() const { return sequence_; }
   const DurableConfig& config() const { return config_; }
-  // True when the file opened with a kDeltaHeader; its shard chunks then
-  // carry dirty-range delta payloads to apply on top of parent().
-  bool is_delta() const { return is_delta_; }
+  // The generation this snapshot applies on top of; 0 for a full one.
   uint64_t parent() const { return parent_; }
 
   // One step of the stream. Exactly one of the three shapes per call:
@@ -319,7 +311,6 @@ class CheckpointReader {
   std::string payload_;
   uint64_t sequence_ = 0;
   uint64_t parent_ = 0;
-  bool is_delta_ = false;
   DurableConfig config_;
   bool saw_state_ = false;
   bool shard_open_ = false;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/parallel.h"
 
@@ -100,7 +101,7 @@ util::Status ObjectService::AddObject(ObjectId id,
         ObjectShard::ValidateConfig(config, num_processors_));
     std::string payload;
     EncodeAddObject(id, config, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kAddObject, payload));
+    LogOp(WalRecordType::kAddObject, payload);
   }
   util::StatusOr<uint32_t> slot = shards_[shard].AddObject(id, config);
   if (slot.ok()) {
@@ -307,7 +308,7 @@ util::Status ObjectService::Submit(const BatchEvents& events,
     // state changes — and ahead of any serve of a pipelined batch, however
     // long the pipeline holds it. A persistent IO failure degrades
     // durability and the batch proceeds undurably — see LogBatch.
-    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
+    LogBatch(events);
   }
   if (injector_ != nullptr) [[unlikely]] {
     // A batch that fails validation above never advances fault time (it is
@@ -463,7 +464,7 @@ util::Status ObjectService::EnableFaults(const FaultInjectorOptions& options,
     // is safe to write ahead (before `schedule` is moved away).
     std::string payload;
     EncodeEnableFaults(options, schedule, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kEnableFaults, payload));
+    LogOp(WalRecordType::kEnableFaults, payload);
   }
   // Apply any crash history a previous fault session left pending, so the
   // new session starts from schemes consistent with everything that was
@@ -481,7 +482,7 @@ void ObjectService::DisableFaults() {
   if (durability_ != nullptr) [[unlikely]] {
     // Best effort: an append failure detaches durability (the on-disk state
     // stays a consistent prefix); the disable itself always proceeds.
-    (void)LogOp(WalRecordType::kDisableFaults, {});
+    LogOp(WalRecordType::kDisableFaults, {});
   }
   for (ObjectShard& shard : shards_) shard.FlushCrashLog(crash_log_);
   crash_log_.clear();
@@ -500,7 +501,7 @@ util::Status ObjectService::Crash(ProcessorId p) {
   if (durability_ != nullptr) [[unlikely]] {
     std::string payload;
     EncodeProcessor(p, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kCrash, payload));
+    LogOp(WalRecordType::kCrash, payload);
   }
   // Stamped at "now": events already served keep the member; every later
   // event evicts it via the log.
@@ -519,7 +520,7 @@ util::Status ObjectService::Recover(ProcessorId p) {
   if (durability_ != nullptr) [[unlikely]] {
     std::string payload;
     EncodeProcessor(p, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kRecover, payload));
+    LogOp(WalRecordType::kRecover, payload);
   }
   ApplyFault(FaultEvent::Recover(0, p));
   return util::Status::Ok();
@@ -530,7 +531,7 @@ int64_t ObjectService::RepairDegraded() {
   if (durability_ != nullptr) [[unlikely]] {
     // Best effort, as in DisableFaults: an append failure detaches
     // durability but never blocks the repair.
-    (void)LogOp(WalRecordType::kRepairDegraded, {});
+    LogOp(WalRecordType::kRepairDegraded, {});
   }
   int64_t added = 0;
   const size_t index = injector_->cursor();  // repairs happen at "now"
@@ -652,11 +653,33 @@ std::vector<ObjectId> ObjectService::SortedObjectIds() const {
   std::vector<ObjectId> ids;
   ids.reserve(object_count());
   for (const ObjectShard& shard : shards_) {
-    std::vector<ObjectId> shard_ids = shard.SortedObjectIds();
-    ids.insert(ids.end(), shard_ids.begin(), shard_ids.end());
+    for (uint32_t slot = 0; slot < shard.slot_span(); ++slot) {
+      ids.push_back(shard.IdAt(slot));
+    }
   }
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+uint32_t ObjectService::SchemeCrc() const {
+  FenceAsync();  // schemes are serve-mutated state
+  // Two 8-byte fields, no padding: CRC-32 chains, so one pass over the
+  // sorted array equals the per-object Crc32(id) then Crc32(mask) walk.
+  struct Entry {
+    ObjectId id;
+    uint64_t mask;
+  };
+  static_assert(sizeof(Entry) == 16);
+  std::vector<Entry> entries;
+  entries.reserve(object_count());
+  for (const ObjectShard& shard : shards_) {
+    for (uint32_t slot = 0; slot < shard.slot_span(); ++slot) {
+      entries.push_back(Entry{shard.IdAt(slot), shard.SchemeMaskAt(slot)});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.id < b.id; });
+  return util::Crc32(entries.data(), entries.size() * sizeof(Entry));
 }
 
 // --- Durability ---------------------------------------------------------
@@ -685,13 +708,13 @@ util::Status ObjectService::EnterDegraded(util::Status status) {
   return status;
 }
 
-util::Status ObjectService::LogBatch(const BatchEvents& events) {
+void ObjectService::LogBatch(const BatchEvents& events) {
   Durability& d = *durability_;
   if (d.state != DurabilityState::kDurable) [[unlikely]] {
     // Degraded: the disk is gone but the service is not. Serve the batch
     // undurably; the reattach checkpoint will capture its effects.
     ++d.degraded_batches;
-    return util::Status::Ok();
+    return;
   }
   uint64_t lsn = 0;
   if (events.handles.empty()) {
@@ -707,37 +730,25 @@ util::Status ObjectService::LogBatch(const BatchEvents& events) {
     }
     lsn = d.wal->AppendBatch(d.batch_scratch);
   }
-  // The append itself is in-memory and cannot fail; I/O errors are sticky
-  // inside the writer (after its own rollback-and-rewrite retry gave up).
-  // sync_every_batch waits the record out (memory and disk never diverge);
-  // the default mode only probes for a sticky error so a dead disk is
-  // noticed within one batch rather than at the next sync.
-  util::Status status = util::Status::Ok();
-  if (d.options.sync_every_batch) {
-    status = d.wal->WaitDurable(lsn);
-  } else if (!d.wal->is_open()) [[unlikely]] {
-    status = d.wal->Detach();
-    if (status.ok()) status = util::Status::Internal("WAL writer closed");
+  if (AwaitLogged(lsn)) {
+    d.events_since_checkpoint += events.size();
+  } else {
+    ++d.degraded_batches;  // served undurably
   }
-  if (!status.ok()) {
-    // Degrade, don't stop: the writer already rolled the file back to the
-    // last durable group boundary, so the on-disk state is a consistent
-    // prefix. The batch is served undurably.
-    (void)EnterDegraded(status);
-    ++d.degraded_batches;
-    return util::Status::Ok();
-  }
-  d.events_since_checkpoint += events.size();
-  return util::Status::Ok();
 }
 
-util::Status ObjectService::LogOp(WalRecordType type,
-                                  std::string_view payload) {
+void ObjectService::LogOp(WalRecordType type, std::string_view payload) {
   Durability& d = *durability_;
   if (d.state != DurabilityState::kDurable) [[unlikely]] {
-    return util::Status::Ok();  // applies in memory; reattach captures it
+    return;  // applies in memory; reattach captures it
   }
-  const uint64_t lsn = d.wal->Append(type, payload);
+  (void)AwaitLogged(d.wal->Append(type, payload));
+}
+
+bool ObjectService::AwaitLogged(uint64_t lsn) {
+  Durability& d = *durability_;
+  // The append itself is in-memory and cannot fail; I/O errors are sticky
+  // inside the writer (after its own rollback-and-rewrite retry gave up).
   util::Status status = util::Status::Ok();
   if (d.options.sync_every_batch) {
     status = d.wal->WaitDurable(lsn);
@@ -745,8 +756,12 @@ util::Status ObjectService::LogOp(WalRecordType type,
     status = d.wal->Detach();
     if (status.ok()) status = util::Status::Internal("WAL writer closed");
   }
-  if (!status.ok()) (void)EnterDegraded(status);
-  return util::Status::Ok();
+  if (status.ok()) return true;
+  // Degrade, don't stop: the writer already rolled the file back to the
+  // last durable group boundary, so the on-disk state is a consistent
+  // prefix.
+  (void)EnterDegraded(status);
+  return false;
 }
 
 util::Status ObjectService::FinishBatchDurable() {
@@ -814,44 +829,15 @@ util::Status ObjectService::RestoreServiceState(
 }
 
 util::Status ObjectService::WriteCheckpointFile(const std::string& path,
-                                                uint64_t sequence) const {
-  auto writer = CheckpointWriter::Open(path, sequence, durability_->config);
+                                                uint64_t sequence,
+                                                uint64_t parent) const {
+  auto writer =
+      CheckpointWriter::Open(path, sequence, parent, durability_->config);
   if (!writer.ok()) return writer.status();
   OBJALLOC_RETURN_IF_ERROR(writer->AppendServiceState(CaptureServiceState()));
-  // Slot records stream out one slab page at a time; the scratch buffer
-  // and the writer's chunk buffer bound peak memory regardless of how many
-  // objects the shards hold.
-  constexpr uint32_t kSlotsPerAppend = 2048;
-  std::string scratch;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const ObjectShard& shard = shards_[s];
-    writer->BeginShard(static_cast<uint32_t>(s));
-    scratch.clear();
-    shard.AppendSnapshotHeader(&scratch);
-    OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    const uint32_t span = shard.slot_span();
-    for (uint32_t begin = 0; begin < span; begin += kSlotsPerAppend) {
-      scratch.clear();
-      shard.AppendSnapshotSlots(begin, std::min(span, begin + kSlotsPerAppend),
-                                &scratch);
-      OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    }
-    scratch.clear();
-    shard.AppendSnapshotFooter(&scratch);
-    OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    OBJALLOC_RETURN_IF_ERROR(writer->EndShard());
-  }
-  return writer->Finish(static_cast<uint32_t>(shards_.size()));
-}
-
-util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
-                                                     uint64_t sequence) const {
-  auto writer = CheckpointWriter::OpenDelta(path, sequence, sequence - 1,
-                                            durability_->config);
-  if (!writer.ok()) return writer.status();
-  OBJALLOC_RETURN_IF_ERROR(writer->AppendServiceState(CaptureServiceState()));
-  // Dirty ranges are split into bounded pieces so the scratch buffer (not
-  // the dirty span) caps peak memory, exactly like the full-snapshot path.
+  // Ranges are split into bounded pieces (one slab page each at most), so
+  // the scratch buffer and the writer's chunk buffer — not the shard or
+  // the dirty span — bound peak memory.
   constexpr uint32_t kSlotsPerAppend = 2048;
   std::string scratch;
   std::vector<std::pair<uint32_t, uint32_t>> ranges;
@@ -859,7 +845,12 @@ util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ObjectShard& shard = shards_[s];
     writer->BeginShard(static_cast<uint32_t>(s));
-    shard.CollectDirtyRanges(&ranges);
+    ranges.clear();
+    if (parent != 0) {
+      shard.CollectDirtyRanges(&ranges);
+    } else if (shard.slot_span() > 0) {
+      ranges.emplace_back(0, shard.slot_span());
+    }
     pieces.clear();
     for (const auto& [begin, end] : ranges) {
       // 64-bit cursor: begin + kSlotsPerAppend could wrap at the top of
@@ -872,11 +863,11 @@ util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
       }
     }
     scratch.clear();
-    shard.AppendDeltaHeader(static_cast<uint32_t>(pieces.size()), &scratch);
+    shard.AppendRangeHeader(static_cast<uint32_t>(pieces.size()), &scratch);
     OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
     for (const auto& [begin, end] : pieces) {
       scratch.clear();
-      shard.AppendDeltaRange(begin, end, &scratch);
+      shard.AppendRange(begin, end, &scratch);
       OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
     }
     scratch.clear();
@@ -885,6 +876,73 @@ util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
     OBJALLOC_RETURN_IF_ERROR(writer->EndShard());
   }
   return writer->Finish(static_cast<uint32_t>(shards_.size()));
+}
+
+util::Status ObjectService::CommitGeneration(bool delta) {
+  Durability& d = *durability_;
+  const uint64_t next = d.sequence + 1;
+  const std::string ckpt_path =
+      d.dir + "/" +
+      (delta ? DeltaCheckpointFileName(next) : CheckpointFileName(next));
+  const std::string wal_path = d.dir + "/" + WalFileName(next);
+  util::Env* env = util::CurrentEnv();
+  // (1) The snapshot, streamed to a temp file and atomically published
+  //     under its final name. Safe to retry whole: the temp file is
+  //     recreated from scratch each attempt.
+  util::Status status =
+      util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
+        return WriteCheckpointFile(ckpt_path, next, delta ? d.sequence : 0);
+      });
+  // (2) The next generation's WAL with a synced header — it must exist
+  //     before the manifest can name it. Create truncates, so a retry
+  //     rewrites the header cleanly.
+  util::StatusOr<WalWriter> wal{util::Status::Internal("unattempted")};
+  if (status.ok()) {
+    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
+      wal = WalWriter::Create(wal_path, next, d.config);
+      return wal.status();
+    });
+  }
+  // (3) Commit point: the manifest flips to the new generation (and names
+  //     the full snapshot its delta chain stands on).
+  if (status.ok()) {
+    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
+      return WriteManifest(
+          d.dir, Manifest{next, delta ? d.base_sequence : next, d.config});
+    });
+  }
+  if (!status.ok()) {
+    // Roll back the orphans so a manifest-less recovery scan cannot pick a
+    // generation whose WAL chain never went live.
+    (void)util::RemoveFile(ckpt_path);
+    (void)util::RemoveFile(wal_path);
+    return status;
+  }
+  // (4) Install the writer: rotate the live one (it syncs what it holds
+  //     first), or attach a fresh one when none is live.
+  if (d.wal != nullptr) {
+    OBJALLOC_RETURN_IF_ERROR(d.wal->Rotate(std::move(*wal)));
+  } else {
+    auto writer = std::make_unique<AsyncWalWriter>();
+    OBJALLOC_RETURN_IF_ERROR(
+        writer->Attach(std::move(*wal), AsyncWalOptionsFrom(d.options)));
+    d.wal = std::move(writer);
+  }
+  d.sequence = next;
+  d.events_since_checkpoint = 0;
+  if (delta) {
+    d.delta_chain_length += 1;
+  } else {
+    d.base_sequence = next;
+    d.delta_chain_length = 0;
+  }
+  // The published snapshot covers every page dirtied so far; the next
+  // delta window starts clean. (Only after the manifest commit — a failed
+  // commit must leave the pages marked for the retry.)
+  for (ObjectShard& shard : shards_) {
+    shard.ResetDirtyTracking(d.options.delta_chain_limit > 0);
+  }
+  return util::Status::Ok();
 }
 
 util::Status ObjectService::EnableDurability(const std::string& dir,
@@ -906,59 +964,18 @@ util::Status ObjectService::EnableDurability(const std::string& dir,
       OBJALLOC_RETURN_IF_ERROR(util::RemoveFile(dir + "/" + name));
     }
   }
-  auto d = std::make_unique<Durability>();
-  d->dir = dir;
-  d->options = options;
-  d->config =
+  durability_ = std::make_unique<Durability>();
+  durability_->dir = dir;
+  durability_->options = options;
+  durability_->config =
       DurableConfig{num_processors_, static_cast<int32_t>(shards_.size()),
                     cost_model_};
-  d->sequence = 1;
-  d->base_sequence = 1;
-  durability_ = std::move(d);
-  // Generation 1: a snapshot of the current state (empty service or one
-  // mid-life — both are just states) + a fresh WAL + the manifest. Each
-  // step retries transient IO failures; a persistent failure here is a
+  // Generation 1: a full snapshot of the current state (empty service or
+  // one mid-life — both are just states). A persistent failure here is a
   // clean error (durability never armed), not a degradation.
-  util::Env* env = util::CurrentEnv();
-  uint64_t* retries = &durability_->checkpoint_retries;
-  util::Status status = util::RetryIo(options.retry, env, retries, [&] {
-    return WriteCheckpointFile(durability_->dir + "/" + CheckpointFileName(1),
-                               1);
-  });
-  if (status.ok()) {
-    util::StatusOr<WalWriter> wal{util::Status::Internal("unattempted")};
-    status = util::RetryIo(options.retry, env, retries, [&] {
-      wal = WalWriter::Create(durability_->dir + "/" + WalFileName(1), 1,
-                              durability_->config);
-      return wal.status();
-    });
-    if (status.ok()) {
-      durability_->wal = std::make_unique<AsyncWalWriter>();
-      status = durability_->wal->Attach(std::move(*wal),
-                                        AsyncWalOptionsFrom(options));
-      if (status.ok()) {
-        status = util::RetryIo(options.retry, env, retries, [&] {
-          return WriteManifest(durability_->dir,
-                               Manifest{1, 1, durability_->config});
-        });
-      }
-    }
-  }
-  if (!status.ok()) {
-    durability_.reset();
-    return status;
-  }
-  // Delta checkpoints need to know which slab pages each checkpoint window
-  // dirties; the generation-1 snapshot is full, so the slate starts clean.
-  for (ObjectShard& shard : shards_) {
-    if (options.delta_chain_limit > 0) {
-      shard.EnableDirtyTracking();
-      shard.ClearDirty();
-    } else {
-      shard.DisableDirtyTracking();
-    }
-  }
-  return util::Status::Ok();
+  util::Status status = CommitGeneration(/*delta=*/false);
+  if (!status.ok()) durability_.reset();
+  return status;
 }
 
 util::Status ObjectService::DisableDurability() {
@@ -1013,72 +1030,17 @@ util::Status ObjectService::Checkpoint() {
   if (!status.ok()) {
     return EnterDegraded(status);
   }
-  const uint64_t next = d.sequence + 1;
-  // Delta while the chain has room, full once it hits the limit (the
-  // periodic compaction that keeps recovery cost bounded).
-  const bool delta = d.options.delta_chain_limit > 0 &&
-                     d.delta_chain_length < d.options.delta_chain_limit;
-  const std::string ckpt_path =
-      d.dir + "/" +
-      (delta ? DeltaCheckpointFileName(next) : CheckpointFileName(next));
-  const std::string wal_path = d.dir + "/" + WalFileName(next);
-  util::Env* env = util::CurrentEnv();
-  // (2) The snapshot, streamed to a temp file and atomically published
-  //     under its final name. Safe to retry whole: the temp file is
-  //     recreated from scratch each attempt.
-  status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-    return delta ? WriteDeltaCheckpointFile(ckpt_path, next)
-                 : WriteCheckpointFile(ckpt_path, next);
-  });
-  // (3) The next generation's WAL with a synced header — it must exist
-  //     before the manifest can name it. Create truncates, so a retry
-  //     rewrites the header cleanly.
-  util::StatusOr<WalWriter> wal{status.ok()
-                                    ? util::Status::Internal("unattempted")
-                                    : status};
-  if (status.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      wal = WalWriter::Create(wal_path, next, d.config);
-      return wal.status();
-    });
-  }
-  // (4) Commit point: the manifest flips to the new generation (and names
-  //     the full snapshot its delta chain stands on).
-  if (wal.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      return WriteManifest(
-          d.dir, Manifest{next, delta ? d.base_sequence : next, d.config});
-    });
-  }
-  if (!status.ok()) {
-    // Roll back the orphans so a manifest-less recovery scan cannot pick a
-    // generation whose WAL chain never went live. The current generation
-    // stays fully intact and appendable — but the disk just refused a
-    // persistent write, so the service degrades rather than pretending the
-    // next interval will fare better.
-    (void)util::RemoveFile(ckpt_path);
-    (void)util::RemoveFile(wal_path);
-    return EnterDegraded(status);
-  }
-  status = d.wal->Rotate(std::move(*wal));
-  if (!status.ok()) {
-    return EnterDegraded(status);
-  }
-  d.sequence = next;
-  d.events_since_checkpoint = 0;
-  if (delta) {
-    d.delta_chain_length += 1;
-  } else {
-    d.base_sequence = next;
-    d.delta_chain_length = 0;
-  }
-  // The published snapshot covers every page dirtied so far; the next
-  // delta window starts clean. (Only after the manifest commit — a failed
-  // checkpoint must leave the pages marked for the retry.)
-  if (d.options.delta_chain_limit > 0) {
-    for (ObjectShard& shard : shards_) shard.ClearDirty();
-  }
-  // (5) GC, best effort: drop generations beyond keep_generations (walking
+  // (2) Delta while the chain has room, full once it hits the limit (the
+  //     periodic compaction that keeps recovery cost bounded). A failed
+  //     commit leaves the current generation fully intact and appendable —
+  //     but the disk just refused a persistent write, so the service
+  //     degrades rather than pretending the next interval will fare
+  //     better.
+  status = CommitGeneration(d.options.delta_chain_limit > 0 &&
+                            d.delta_chain_length < d.options.delta_chain_limit);
+  if (!status.ok()) return EnterDegraded(status);
+  const uint64_t next = d.sequence;
+  // (3) GC, best effort: drop generations beyond keep_generations (walking
   //     down until the names stop existing catches backlogs left by
   //     earlier failed GCs). WALs fall at keep_generations exactly;
   //     snapshot files survive further down to the full snapshot the
@@ -1139,56 +1101,18 @@ util::Status ObjectService::ReattachDurability() {
     return status;
   }
   // Fresh full generation g+1 capturing the *current* in-memory state —
-  // including every batch served while degraded — then the manifest commit
-  // names it as both the live generation and the full-snapshot base.
-  const uint64_t next = d.sequence + 1;
-  const std::string ckpt_path = d.dir + "/" + CheckpointFileName(next);
-  const std::string wal_path = d.dir + "/" + WalFileName(next);
-  util::Env* env = util::CurrentEnv();
-  status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-    return WriteCheckpointFile(ckpt_path, next);
-  });
-  util::StatusOr<WalWriter> wal{status.ok()
-                                    ? util::Status::Internal("unattempted")
-                                    : status};
-  if (status.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      wal = WalWriter::Create(wal_path, next, d.config);
-      return wal.status();
-    });
-  }
-  if (wal.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      return WriteManifest(d.dir, Manifest{next, next, d.config});
-    });
-  }
-  if (status.ok()) {
-    d.wal = std::make_unique<AsyncWalWriter>();
-    status = d.wal->Attach(std::move(*wal), AsyncWalOptionsFrom(d.options));
-    if (!status.ok()) d.wal.reset();
-  }
+  // including every batch served while degraded — as both the live
+  // generation and the full-snapshot base. On failure the service stays
+  // degraded, now holding the reattach failure; the caller can try again
+  // once the disk truly heals.
+  status = CommitGeneration(/*delta=*/false);
   if (!status.ok()) {
-    // Still degraded, now holding the reattach failure; the caller can try
-    // again once the disk truly heals.
-    (void)util::RemoveFile(ckpt_path);
-    (void)util::RemoveFile(wal_path);
     d.degraded_error = status;
     return status;
   }
-  d.sequence = next;
-  d.base_sequence = next;
-  d.delta_chain_length = 0;
-  d.events_since_checkpoint = 0;
   d.state = DurabilityState::kDurable;
   d.degraded_error = util::Status::Ok();
   ++d.reattach_count;
-  // The published snapshot is full; the next delta window starts clean.
-  if (d.options.delta_chain_limit > 0) {
-    for (ObjectShard& shard : shards_) {
-      shard.EnableDirtyTracking();
-      shard.ClearDirty();
-    }
-  }
   if (d.options.verify_reattach) {
     // Verifiable resync: prove the healed directory actually recovers
     // before reporting success. A failure here means the disk is still
@@ -1258,12 +1182,17 @@ void ScrubRecordFile(const std::string& path, bool torn_tail_legal,
   bool first = true;
   while (cursor.Next(&record)) {
     if (first && file->name.rfind("wal-", 0) == 0) {
-      // The WAL's first record must be its header; a checkpoint's
-      // structure is enforced by the recovery dry run.
-      if (record.type != static_cast<uint8_t>(WalRecordType::kWalHeader) ||
-          !DecodeWalHeader(record.payload).ok()) {
+      // The WAL's first record must be its header (format version
+      // included); a checkpoint's header is checked below, its structure
+      // by the recovery dry run.
+      util::Status header =
+          record.type == static_cast<uint8_t>(WalRecordType::kWalHeader)
+              ? DecodeWalHeader(record.payload).status()
+              : util::Status::Internal("wrong record type");
+      if (!header.ok()) {
         file->verdict = ScrubVerdict::kCorrupt;
-        file->detail = "first record is not a valid WAL header";
+        file->detail =
+            "first record is not a valid WAL header: " + header.ToString();
         return;
       }
     }
@@ -1316,6 +1245,14 @@ util::Status ObjectService::Scrub(const std::string& dir,
       file.detail = "abandoned temp file (an interrupted atomic publish)";
     } else if (name.rfind("checkpoint-", 0) == 0) {
       ScrubRecordFile(path, /*torn_tail_legal=*/false, &file);
+      if (file.verdict == ScrubVerdict::kOk) {
+        // Header semantics: magic, format version, parent vs file name.
+        auto reader = CheckpointReader::Open(path);
+        if (!reader.ok()) {
+          file.verdict = ScrubVerdict::kCorrupt;
+          file.detail = reader.status().ToString();
+        }
+      }
     } else if (name.rfind("wal-", 0) == 0 && name.ends_with(".log")) {
       ScrubRecordFile(path, /*torn_tail_legal=*/true, &file);
     } else {
@@ -1338,77 +1275,26 @@ util::Status ObjectService::Scrub(const std::string& dir,
   return status;
 }
 
-util::Status ObjectService::RestoreFromCheckpointStream(
-    CheckpointReader* reader, RecoveryReport* report) {
+util::Status ObjectService::RestoreCheckpointStream(CheckpointReader* reader,
+                                                    uint64_t held,
+                                                    RecoveryReport* report) {
   OBJALLOC_CHECK_EQ(static_cast<size_t>(reader->config().num_shards),
                     shards_.size());
-  if (reader->is_delta()) {
+  const std::string name =
+      "checkpoint-" + std::to_string(reader->sequence());
+  if (reader->parent() != held) {
     return util::Status::Internal(
-        "checkpoint: delta snapshot where a full snapshot was expected");
+        name + " applies on top of generation " +
+        std::to_string(reader->parent()) + ", but the service holds " +
+        std::to_string(held));
   }
-  ServiceStateImage state;
-  bool saw_state = false;
-  CheckpointReader::Piece piece;
-  for (;;) {
-    OBJALLOC_RETURN_IF_ERROR(reader->Next(&piece));
-    if (piece.done) break;
-    if (piece.service_state) {
-      state = std::move(piece.state);
-      saw_state = true;
-      continue;
-    }
-    if (piece.shard >= shards_.size()) {
-      return util::Status::Internal("checkpoint: shard index " +
-                                    std::to_string(piece.shard) +
-                                    " out of range");
-    }
-    OBJALLOC_RETURN_IF_ERROR(
-        shards_[piece.shard].RestoreSnapshotChunk(piece.bytes, piece.last));
+  if (reader->parent() == 0 && object_count() != 0) {
+    return util::Status::Internal(name +
+                                  ": full snapshot onto a non-empty service");
   }
-  if (!saw_state) {
-    return util::Status::Internal("checkpoint: missing service state record");
-  }
-  // Rebuild the id → route mirror, verifying the partition while at it: an
-  // id must live in exactly the shard the hash assigns it, or handles and
-  // future AddObject calls would disagree with the restored layout.
-  route_directory_.Reserve(object_count());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (uint32_t slot = 0; slot < shards_[s].slot_span(); ++slot) {
-      if (slot > route_slot_mask_ ||
-          PackRoute(s, slot) >= 0xFFFFFFFEu) [[unlikely]] {
-        return util::Status::Internal(
-            "checkpoint: shard " + std::to_string(s) +
-            " exceeds the routable slot space");
-      }
-      const ObjectId id = shards_[s].IdAt(slot);
-      if (ShardOf(id) != s) {
-        return util::Status::Internal("checkpoint: object " +
-                                      std::to_string(id) +
-                                      " stored in the wrong shard");
-      }
-      if (route_directory_.Contains(id)) {
-        return util::Status::Internal("checkpoint: object " +
-                                      std::to_string(id) +
-                                      " appears in two shards");
-      }
-      route_directory_.Insert(id, PackRoute(s, slot));
-    }
-  }
-  report->objects_restored = object_count();
-  return RestoreServiceState(state);
-}
-
-util::Status ObjectService::ApplyDeltaCheckpointStream(
-    CheckpointReader* reader, RecoveryReport* report) {
-  OBJALLOC_CHECK_EQ(static_cast<size_t>(reader->config().num_shards),
-                    shards_.size());
-  if (!reader->is_delta()) {
-    return util::Status::Internal(
-        "checkpoint: full snapshot where a delta was expected");
-  }
-  // Slots never move and ids never change once assigned, so applying a
-  // delta only ever *extends* each shard's slot span; the route mirror
-  // built by the base restore stays valid and just needs the new slots
+  // Slots never move and ids never change once assigned, so a snapshot
+  // only ever *extends* each shard's slot span; the route directory stays
+  // valid for the slots below the prior span and just needs the new ones
   // folded in afterwards.
   std::vector<uint32_t> prior_span(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -1427,53 +1313,55 @@ util::Status ObjectService::ApplyDeltaCheckpointStream(
       continue;
     }
     if (piece.shard >= shards_.size()) {
-      return util::Status::Internal("delta checkpoint: shard index " +
+      return util::Status::Internal(name + ": shard index " +
                                     std::to_string(piece.shard) +
                                     " out of range");
     }
     if (!begun[piece.shard]) {
-      shards_[piece.shard].BeginDeltaRestore();
+      shards_[piece.shard].BeginRestore();
       begun[piece.shard] = 1;
     }
     OBJALLOC_RETURN_IF_ERROR(
-        shards_[piece.shard].RestoreDeltaChunk(piece.bytes, piece.last));
+        shards_[piece.shard].RestoreChunk(piece.bytes, piece.last));
   }
   if (!saw_state) {
-    return util::Status::Internal(
-        "delta checkpoint: missing service state record");
+    return util::Status::Internal(name + ": missing service state record");
   }
+  // Fold the new slots into the route directory, verifying the partition
+  // while at it: an id must live in exactly the shard the hash assigns it,
+  // or handles and future AddObject calls would disagree with the restored
+  // layout.
+  route_directory_.Reserve(object_count());
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (uint32_t slot = prior_span[s]; slot < shards_[s].slot_span();
          ++slot) {
       if (slot > route_slot_mask_ ||
           PackRoute(s, slot) >= 0xFFFFFFFEu) [[unlikely]] {
-        return util::Status::Internal(
-            "delta checkpoint: shard " + std::to_string(s) +
-            " exceeds the routable slot space");
+        return util::Status::Internal(name + ": shard " + std::to_string(s) +
+                                      " exceeds the routable slot space");
       }
       const ObjectId id = shards_[s].IdAt(slot);
       if (id < 0) {
-        // Slots appended in the delta window must all arrive in its dirty
-        // ranges; an unfilled one is a hole no writer produces.
-        return util::Status::Internal("delta checkpoint: shard " +
-                                      std::to_string(s) + " slot " +
-                                      std::to_string(slot) + " never filled");
+        // Slots a span grows by must all arrive in the snapshot's ranges;
+        // an unfilled one is a hole no writer produces.
+        return util::Status::Internal(name + ": shard " + std::to_string(s) +
+                                      " slot " + std::to_string(slot) +
+                                      " never filled");
       }
       if (ShardOf(id) != s) {
-        return util::Status::Internal("delta checkpoint: object " +
+        return util::Status::Internal(name + ": object " +
                                       std::to_string(id) +
                                       " stored in the wrong shard");
       }
       if (route_directory_.Contains(id)) {
-        return util::Status::Internal("delta checkpoint: object " +
-                                      std::to_string(id) +
-                                      " appears twice");
+        return util::Status::Internal(name + ": object " +
+                                      std::to_string(id) + " appears twice");
       }
       route_directory_.Insert(id, PackRoute(s, slot));
     }
   }
   report->objects_restored = object_count();
-  // The delta's service-state image wins outright: fault state, crash
+  // The snapshot's service-state image wins outright: fault state, crash
   // journal, and injector cursor are small and snapshotted whole in every
   // generation, full or delta.
   return RestoreServiceState(state);
@@ -1744,49 +1632,36 @@ util::StatusOr<ObjectService> ObjectService::RecoverInternal(
         return util::Status::Internal(
             "no full snapshot at or below generation " + std::to_string(gen));
       }
-      auto reader = CheckpointReader::Open(dir + "/" + CheckpointFileName(base));
-      if (!reader.ok()) return reader.status();
-      if (reader->sequence() != base) {
-        return util::Status::Internal(
-            "checkpoint file names generation " +
-            std::to_string(reader->sequence()) + ", expected " +
-            std::to_string(base));
-      }
-      if (have_manifest) {
-        OBJALLOC_RETURN_IF_ERROR(
-            manifest_config.CheckMatches(reader->config()));
-      }
-      const DurableConfig config = reader->config();
-      ServiceOptions service_options;
-      service_options.num_shards = config.num_shards;
-      auto service =
-          Create(config.num_processors, config.cost_model, service_options);
-      if (!service.ok()) return service.status();
-      OBJALLOC_RETURN_IF_ERROR(
-          service->RestoreFromCheckpointStream(&*reader, &attempt));
-      for (uint64_t g = base + 1; g <= gen; ++g) {
-        auto delta =
-            CheckpointReader::Open(dir + "/" + DeltaCheckpointFileName(g));
-        if (!delta.ok()) return delta.status();
-        if (!delta->is_delta() || delta->sequence() != g ||
-            delta->parent() != g - 1) {
+      util::StatusOr<ObjectService> service{
+          util::Status::Internal("unrestored")};
+      DurableConfig config;
+      for (uint64_t g = base; g <= gen; ++g) {
+        const std::string name =
+            g == base ? CheckpointFileName(g) : DeltaCheckpointFileName(g);
+        auto reader = CheckpointReader::Open(dir + "/" + name);
+        if (!reader.ok()) return reader.status();
+        if (reader->sequence() != g) {
           return util::Status::Internal(
-              DeltaCheckpointFileName(g) +
-              " does not chain onto generation " + std::to_string(g - 1));
+              name + " names generation " +
+              std::to_string(reader->sequence()));
         }
-        OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(delta->config()));
-        OBJALLOC_RETURN_IF_ERROR(
-            service->ApplyDeltaCheckpointStream(&*delta, &attempt));
-        attempt.delta_checkpoints_applied += 1;
-      }
-      if (!read_only && options.delta_chain_limit > 0) {
-        // Arm page tracking *before* the WAL replay below: the next delta
-        // must capture every page the replayed tail re-dirties on top of
-        // this snapshot.
-        for (auto& shard : service->shards_) {
-          shard.EnableDirtyTracking();
-          shard.ClearDirty();
+        if (g == base) {
+          if (have_manifest) {
+            OBJALLOC_RETURN_IF_ERROR(
+                manifest_config.CheckMatches(reader->config()));
+          }
+          config = reader->config();
+          ServiceOptions service_options;
+          service_options.num_shards = config.num_shards;
+          service = Create(config.num_processors, config.cost_model,
+                           service_options);
+          if (!service.ok()) return service.status();
+        } else {
+          OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(reader->config()));
         }
+        OBJALLOC_RETURN_IF_ERROR(service->RestoreCheckpointStream(
+            &*reader, g == base ? 0 : g - 1, &attempt));
+        if (g > base) attempt.delta_checkpoints_applied += 1;
       }
       // Replay the WAL chain gen..top; only the final generation may carry
       // a torn tail.
@@ -1827,6 +1702,8 @@ util::StatusOr<ObjectService> ObjectService::RecoverInternal(
         // Force the next checkpoint to be full, whatever the chain policy:
         // if this attempt fell back past a broken snapshot, chaining a
         // delta onto the damaged generation would leave it load-bearing.
+        // (So no page needs tracking until that checkpoint's commit arms
+        // it.)
         d->base_sequence = base;
         d->delta_chain_length = options.delta_chain_limit;
         auto wal = final_wal_exists

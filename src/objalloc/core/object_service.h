@@ -108,9 +108,14 @@
 // atomically — full, or (delta_chain_limit > 0) a *delta* holding only the
 // slab pages dirtied since the previous checkpoint, chained onto the last
 // full snapshot — open the next WAL, publish the manifest, GC old
-// generations. A corrupt snapshot degrades gracefully to the previous
-// generation (two WALs replayed instead of one); a corrupt manifest falls
-// back to full snapshots only. Replay coalesces consecutive logged batches
+// generations. Both kinds are one range-snapshot payload (a full snapshot
+// is the delta whose ranges cover every slot, onto parent 0), written by
+// one writer and restored by one reader, and every generation —
+// EnableDurability's first, each rotation, a reattach's fresh one — is
+// committed by one routine (CommitGeneration). A corrupt snapshot
+// degrades gracefully to the previous generation (two WALs replayed
+// instead of one); a corrupt manifest falls back to a directory scan.
+// Replay coalesces consecutive logged batches
 // into super-batches pipelined across the shard executor
 // (replay_batch_events), bit-identical to serial replay because batch
 // boundaries are invisible to the engine outside fault mode. With
@@ -483,7 +488,8 @@ class ObjectService {
   ServiceLoad Load() const;
 
   // Rotates the durable generation: syncs the current WAL, writes a full
-  // snapshot atomically, opens the next WAL, publishes the manifest, and
+  // or delta snapshot atomically, opens the next WAL, publishes the
+  // manifest, and
   // garbage-collects generations beyond DurabilityOptions::keep_generations.
   // A crash at *any* point in this sequence recovers consistently (the
   // manifest is the atomic commit point). FailedPrecondition when
@@ -538,6 +544,11 @@ class ObjectService {
   // order for per-object reports.
   std::vector<ObjectId> SortedObjectIds() const;
 
+  // The scheme fingerprint: CRC-32 over (id, scheme mask) of every object
+  // in ascending id order — the value the STATS wire op reports and the
+  // benches pin. One fence and one sort, O(objects log objects).
+  uint32_t SchemeCrc() const;
+
  private:
   // The engine's view of one submitted batch: exactly one span is used.
   // Only admission and the WAL encoding look at the addressing; the serve
@@ -583,21 +594,25 @@ class ObjectService {
   };
 
   // Appends one admitted batch to the async WAL (id-addressed; handle
-  // events are translated through the scratch buffer). With
-  // sync_every_batch the call waits for the record's LSN to be durable. A
-  // detected persistent failure (the async writer retried and gave up)
-  // *degrades* durability instead of failing the batch: the service enters
-  // DurabilityState::kDegraded, stops logging, and keeps serving — the
-  // batch proceeds, counted in degraded_batches. In the default mode an
-  // I/O error is asynchronous — it surfaces (and degrades) on a later
-  // logging call, sync, or checkpoint; the on-disk log is always a
-  // consistent prefix.
-  util::Status LogBatch(const BatchEvents& events);
+  // events are translated through the scratch buffer). A persistent
+  // failure degrades durability instead of failing the batch (see
+  // AwaitLogged): the batch proceeds, counted in degraded_batches.
+  void LogBatch(const BatchEvents& events);
 
   // Appends a non-batch operation record; a persistent failure degrades
   // durability (the operation still applies in memory and is captured by
   // the next reattach checkpoint).
-  util::Status LogOp(WalRecordType type, std::string_view payload);
+  void LogOp(WalRecordType type, std::string_view payload);
+
+  // The shared tail of LogBatch and LogOp. With sync_every_batch it waits
+  // for `lsn` to be durable; otherwise it only probes for a sticky writer
+  // error, so a dead disk is noticed within one call — an I/O error is
+  // otherwise asynchronous and surfaces on a later logging call, sync, or
+  // checkpoint. A detected persistent failure (the async writer retried
+  // and gave up) enters DurabilityState::kDegraded: logging stops, serving
+  // continues, and the on-disk log stays a consistent prefix. False when
+  // the record did not make it.
+  bool AwaitLogged(uint64_t lsn);
 
   // Transition into kDegraded holding `status` (first failure wins — if
   // already degraded the stored error is returned unchanged): detaches the
@@ -612,30 +627,38 @@ class ObjectService {
   }
   util::Status FinishBatchDurable();
 
-  // Streams the full service state into the checkpoint file for `sequence`
-  // (temp file + atomic publish): shard slot pages flow through bounded
-  // chunk records, so peak memory is O(chunk) however many objects live.
-  util::Status WriteCheckpointFile(const std::string& path,
-                                   uint64_t sequence) const;
-  // Streams a delta snapshot: per shard, only the slot ranges whose slab
-  // pages were dirtied since the last checkpoint (plus the footer, which
-  // always travels whole). Requires armed dirty tracking.
-  util::Status WriteDeltaCheckpointFile(const std::string& path,
-                                        uint64_t sequence) const;
+  // Commits durable generation sequence+1, the one routine that writes a
+  // snapshot, creates a WAL and publishes a manifest: the snapshot (a
+  // delta onto the current generation, or full), the next WAL with a
+  // synced header, then the manifest — the commit point — each step
+  // retried under DurabilityOptions::retry; a failure before the commit
+  // point removes the orphan files. Then installs the WAL writer (Rotate
+  // the live one, or Attach a fresh one when none is live). On success the
+  // generation bookkeeping advances and every shard's dirty tracking
+  // restarts clean (armed iff delta_chain_limit > 0); on failure nothing
+  // changes and the caller applies its own failure policy.
+  util::Status CommitGeneration(bool delta);
+
+  // Streams the service state into the checkpoint file for `sequence`
+  // (temp file + atomic publish). Per shard the range snapshot covers the
+  // whole slot span when `parent` is 0, else only the ranges whose slab
+  // pages were dirtied since the last checkpoint; ranges flow in bounded
+  // pieces through bounded chunk records, so peak memory is O(chunk)
+  // however many objects live.
+  util::Status WriteCheckpointFile(const std::string& path, uint64_t sequence,
+                                   uint64_t parent) const;
   ServiceStateImage CaptureServiceState() const;
   util::Status RestoreServiceState(const ServiceStateImage& image);
 
-  // Restores shards + route directory + service state from an opened
-  // checkpoint stream; the service must be freshly constructed with the
-  // matching config.
-  util::Status RestoreFromCheckpointStream(CheckpointReader* reader,
-                                           RecoveryReport* report);
-
-  // Applies one delta snapshot stream on top of the current state (the
-  // chain walks base+1..g in order), folding new slots into the route
-  // directory and replacing the service state with the delta's image.
-  util::Status ApplyDeltaCheckpointStream(CheckpointReader* reader,
-                                          RecoveryReport* report);
+  // Applies one checkpoint stream on top of the current state, which must
+  // be generation `held` (0 = freshly constructed with the matching
+  // config): the snapshot's parent must equal `held`, and a parent-0
+  // (full) snapshot is accepted only by an empty service. Folds the slots
+  // each shard's span grew by into the route directory and replaces the
+  // service state with the snapshot's image. Recovery walks the chain
+  // base, base+1, ..., g through it.
+  util::Status RestoreCheckpointStream(CheckpointReader* reader, uint64_t held,
+                                       RecoveryReport* report);
 
   // Replays one WAL generation buffer into this service. `is_last` permits
   // (and accounts) a torn tail; earlier generations must end cleanly.

@@ -433,10 +433,10 @@ void ObjectShard::FlushCrashLog(const CrashLog& crash_log) {
     SyncSlotWithCrashes(&record, crash_log,
                         std::numeric_limits<size_t>::max());
     record.set_crash_log_pos(0);
+    MarkDirty(slot);  // the slot's crash-log cursor was rewritten
   }
   for (const uint32_t slot : degraded_list_) degraded_.Erase(slot);
   degraded_list_.clear();
-  MarkAllDirty();  // every slot's crash-log cursor was rewritten
 }
 
 int64_t ObjectShard::RepairAllDegraded(ProcessorSet live, size_t event_index,
@@ -492,20 +492,6 @@ ObjectStats ObjectShard::StatsAt(uint32_t slot) const {
   return stats;
 }
 
-std::vector<ObjectId> ObjectShard::SortedObjectIds() const {
-  std::vector<ObjectId> ids;
-  ids.reserve(object_count());
-  for (uint32_t slot = 0; slot < slot_count_; ++slot) {
-    ids.push_back(Slot(slot).id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-void ObjectShard::AppendSnapshotHeader(std::string* out) const {
-  util::AppendScalar(static_cast<uint64_t>(object_count()), out);
-}
-
 void ObjectShard::AppendSlotRecord(uint32_t slot, std::string* out) const {
   using util::AppendScalar;
   const SlotRecord& record = Slot(slot);
@@ -521,11 +507,6 @@ void ObjectShard::AppendSlotRecord(uint32_t slot, std::string* out) const {
   AppendScalar(record.breakdown.control_messages, out);
   AppendScalar(record.breakdown.data_messages, out);
   AppendScalar(record.breakdown.io_ops, out);
-}
-
-void ObjectShard::AppendSnapshotSlots(uint32_t begin, uint32_t end,
-                                      std::string* out) const {
-  for (uint32_t slot = begin; slot < end; ++slot) AppendSlotRecord(slot, out);
 }
 
 void ObjectShard::AppendSnapshotFooter(std::string* out) const {
@@ -630,76 +611,14 @@ util::Status ObjectShard::RestoreSnapshotFooter(util::PayloadReader* reader) {
   return util::Status::Ok();
 }
 
-util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
-                                               bool last) {
-  if (restore_.done) {
-    return util::Status::Internal("shard snapshot: chunk after final chunk");
-  }
-  if (!restore_.header_done && slot_count_ != 0) {
-    return util::Status::Internal(
-        "snapshot restore requires a freshly constructed shard");
-  }
-  std::string_view data = chunk;
-  if (!restore_.carry.empty()) {
-    restore_.carry.append(chunk.data(), chunk.size());
-    data = restore_.carry;
-  }
-  util::PayloadReader reader(data);
-  if (!restore_.header_done && reader.remaining() >= sizeof(uint64_t)) {
-    OBJALLOC_RETURN_IF_ERROR(reader.Read(&restore_.expected));
-    restore_.header_done = true;
-    Reserve(static_cast<size_t>(restore_.expected));
-  }
-  if (restore_.header_done) {
-    while (restore_.restored < restore_.expected &&
-           reader.remaining() >= kSnapshotSlotBytes) {
-      SlotRecord record;
-      OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(&reader, &record));
-      Slot(AllocateSlot()) = record;
-      ++restore_.restored;
-    }
-  }
-  if (last) {
-    if (!restore_.header_done || restore_.restored < restore_.expected) {
-      return util::Status::Internal("shard snapshot: slot table truncated");
-    }
-    OBJALLOC_RETURN_IF_ERROR(RestoreSnapshotFooter(&reader));
-    restore_.carry.clear();
-    restore_.done = true;
-    return util::Status::Ok();
-  }
-  // Carry the incomplete tail (partial slot record or footer prefix) into
-  // the next chunk; bounded by one record plus the footer head.
-  std::string rest(data.substr(data.size() - reader.remaining()));
-  restore_.carry = std::move(rest);
-  return util::Status::Ok();
-}
+// --- Delta tracking -----------------------------------------------------
 
-// --- Delta checkpoints --------------------------------------------------
-
-void ObjectShard::EnableDirtyTracking() {
-  dirty_tracking_ = true;
-  MarkAllDirty();
-}
-
-void ObjectShard::DisableDirtyTracking() {
-  dirty_tracking_ = false;
-  dirty_words_.clear();
-  dirty_words_.shrink_to_fit();
-}
-
-void ObjectShard::ClearDirty() {
-  std::fill(dirty_words_.begin(), dirty_words_.end(), 0);
-}
-
-void ObjectShard::MarkAllDirty() {
-  if (!dirty_tracking_) return;
-  const uint32_t pages =
-      (slot_count_ + kPageMask) >> kPageShift;
-  const size_t words = (static_cast<size_t>(pages) + 63) / 64;
-  if (words > dirty_words_.size()) dirty_words_.resize(words, 0);
-  for (uint32_t page = 0; page < pages; ++page) {
-    dirty_words_[page >> 6] |= uint64_t{1} << (page & 63);
+void ObjectShard::ResetDirtyTracking(bool armed) {
+  dirty_tracking_ = armed;
+  if (armed) {
+    std::fill(dirty_words_.begin(), dirty_words_.end(), 0);
+  } else {
+    std::vector<uint64_t>().swap(dirty_words_);
   }
 }
 
@@ -731,139 +650,91 @@ void ObjectShard::CollectDirtyRanges(
   }
 }
 
-void ObjectShard::AppendDeltaHeader(uint32_t range_count,
+// --- Range snapshots -----------------------------------------------------
+
+void ObjectShard::AppendRangeHeader(uint32_t range_count,
                                     std::string* out) const {
   util::AppendScalar(static_cast<uint64_t>(slot_count_), out);
   util::AppendScalar(range_count, out);
 }
 
-void ObjectShard::AppendDeltaRange(uint32_t begin, uint32_t end,
-                                   std::string* out) const {
-  using util::AppendScalar;
-  AppendScalar(begin, out);
-  AppendScalar(end, out);
-  for (uint32_t slot = begin; slot < end; ++slot) {
-    AppendScalar(static_cast<uint8_t>(1), out);  // present
-    AppendSlotRecord(slot, out);
-  }
+void ObjectShard::AppendRange(uint32_t begin, uint32_t end,
+                              std::string* out) const {
+  util::AppendScalar(begin, out);
+  util::AppendScalar(end, out);
+  for (uint32_t slot = begin; slot < end; ++slot) AppendSlotRecord(slot, out);
 }
 
-void ObjectShard::BeginDeltaRestore() { delta_restore_ = DeltaProgress{}; }
+void ObjectShard::BeginRestore() { range_restore_ = RangeRestore{}; }
 
-util::Status ObjectShard::RestoreDeltaSlot(uint32_t slot,
-                                           util::PayloadReader* reader) {
-  uint8_t present = 0;
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&present));
-  if (present != 1) {
-    // Objects are never removed, so every slot below the writer's span is
-    // occupied and no writer emits an absent one.
-    return util::Status::Internal("shard delta: slot " +
-                                  std::to_string(slot) + " marked absent");
-  }
-  SlotRecord record;
-  OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(reader, &record));
-  Slot(slot) = record;
-  return util::Status::Ok();
-}
-
-util::Status ObjectShard::RestoreDeltaChunk(std::string_view chunk,
-                                            bool last) {
-  DeltaProgress& d = delta_restore_;
-  if (d.done) {
-    return util::Status::Internal("shard delta: chunk after final chunk");
+util::Status ObjectShard::RestoreChunk(std::string_view chunk, bool last) {
+  RangeRestore& r = range_restore_;
+  if (r.done) {
+    return util::Status::Internal("shard snapshot: chunk after final chunk");
   }
   std::string_view data = chunk;
-  if (!d.carry.empty()) {
-    d.carry.append(chunk.data(), chunk.size());
-    data = d.carry;
+  if (!r.carry.empty()) {
+    r.carry.append(chunk.data(), chunk.size());
+    data = r.carry;
   }
+  // Every unit (header, range bounds, slot record) is consumed only once
+  // it is whole, so whatever the reader leaves is the carry.
   util::PayloadReader reader(data);
-  size_t committed = 0;  // offset of the first byte not yet consumed whole
-  if (!d.header_done) {
-    if (reader.remaining() >= sizeof(uint64_t) + sizeof(uint32_t)) {
-      uint64_t span = 0;
-      OBJALLOC_RETURN_IF_ERROR(reader.Read(&span));
-      OBJALLOC_RETURN_IF_ERROR(reader.Read(&d.ranges_total));
-      if (span < slot_count_ || span >= 0xFFFFFFFEull) {
-        return util::Status::Internal("shard delta: bad slot span " +
-                                      std::to_string(span));
-      }
-      // Grow the slab to the delta's span: the new slots were allocated
-      // during the delta window and arrive inside its dirty ranges.
-      const size_t pages_needed =
-          (static_cast<size_t>(span) + kPageSlots - 1) >> kPageShift;
-      while (pages_.size() < pages_needed) {
-        pages_.push_back(std::make_unique<SlotRecord[]>(kPageSlots));
-      }
-      slot_count_ = static_cast<uint32_t>(span);
-      d.header_done = true;
-      committed = data.size() - reader.remaining();
+  if (!r.header_done &&
+      reader.remaining() >= sizeof(uint64_t) + sizeof(uint32_t)) {
+    uint64_t span = 0;
+    OBJALLOC_RETURN_IF_ERROR(reader.Read(&span));
+    OBJALLOC_RETURN_IF_ERROR(reader.Read(&r.ranges_total));
+    if (span < slot_count_ || span >= 0xFFFFFFFEull) {
+      return util::Status::Internal("shard snapshot: bad slot span " +
+                                    std::to_string(span));
     }
+    // Size the slab once: slots never move, so a span only grows, and the
+    // new slots arrive inside the ranges.
+    Reserve(static_cast<size_t>(span));
+    slot_count_ = static_cast<uint32_t>(span);
+    r.header_done = true;
   }
-  if (d.header_done) {
-    while (d.ranges_done < d.ranges_total) {
-      if (!d.in_range) {
+  if (r.header_done) {
+    while (r.ranges_done < r.ranges_total) {
+      if (!r.in_range) {
         if (reader.remaining() < 2 * sizeof(uint32_t)) break;
         uint32_t begin = 0, end = 0;
         OBJALLOC_RETURN_IF_ERROR(reader.Read(&begin));
         OBJALLOC_RETURN_IF_ERROR(reader.Read(&end));
         if (begin > end || end > slot_count_) {
-          return util::Status::Internal("shard delta: bad slot range");
+          return util::Status::Internal("shard snapshot: bad slot range");
         }
-        d.cursor = begin;
-        d.range_end = end;
-        d.in_range = true;
-        committed = data.size() - reader.remaining();
+        r.cursor = begin;
+        r.range_end = end;
+        r.in_range = true;
       }
-      bool need_more = false;
-      while (d.cursor < d.range_end) {
-        // A unit is 1 presence byte, plus the full record when present;
-        // peek the presence byte without consuming a partial unit.
-        const size_t avail = reader.remaining();
-        if (avail < 1) {
-          need_more = true;
-          break;
-        }
-        const uint8_t present =
-            static_cast<uint8_t>(data[data.size() - avail]);
-        if (present != 0 && avail < 1 + kSnapshotSlotBytes) {
-          need_more = true;
-          break;
-        }
-        OBJALLOC_RETURN_IF_ERROR(RestoreDeltaSlot(d.cursor, &reader));
-        ++d.cursor;
-        committed = data.size() - reader.remaining();
+      const size_t whole = std::min<size_t>(
+          r.range_end - r.cursor, reader.remaining() / kSnapshotSlotBytes);
+      for (size_t i = 0; i < whole; ++i, ++r.cursor) {
+        OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(&reader, &Slot(r.cursor)));
       }
-      if (need_more) break;
-      if (d.cursor == d.range_end) {
-        d.in_range = false;
-        ++d.ranges_done;
-      }
+      if (r.cursor < r.range_end) break;  // a partial record follows
+      r.in_range = false;
+      ++r.ranges_done;
     }
   }
   if (last) {
-    if (!d.header_done || d.ranges_done < d.ranges_total || d.in_range) {
-      return util::Status::Internal("shard delta: range table truncated");
+    if (!r.header_done || r.ranges_done < r.ranges_total) {
+      return util::Status::Internal("shard snapshot: range table truncated");
     }
     // The footer *replaces* the aggregates and the degraded registry.
     for (const uint32_t slot : degraded_list_) degraded_.Erase(slot);
     degraded_list_.clear();
     OBJALLOC_RETURN_IF_ERROR(RestoreSnapshotFooter(&reader));
-    d.carry.clear();
-    d.done = true;
+    r.carry.clear();
+    r.done = true;
     return util::Status::Ok();
   }
-  // Keep everything past the last whole unit for the next chunk. When the
-  // range table is complete the remainder is the footer, which is parsed
-  // only on the final chunk.
-  if (d.ranges_done == d.ranges_total && d.header_done) {
-    committed = data.size() - reader.remaining();
-    std::string rest(data.substr(committed));
-    d.carry = std::move(rest);
-    return util::Status::Ok();
-  }
-  std::string rest(data.substr(committed));
-  d.carry = std::move(rest);
+  // Carry the incomplete tail (a partial unit, or the footer, which is
+  // parsed only on the final chunk) into the next chunk.
+  std::string rest(data.substr(data.size() - reader.remaining()));
+  r.carry = std::move(rest);
   return util::Status::Ok();
 }
 

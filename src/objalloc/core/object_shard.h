@@ -209,74 +209,56 @@ class ObjectShard {
   double TotalCost() const { return total_breakdown_.Cost(cost_model_); }
   int64_t TotalRequests() const { return total_requests_; }
 
-  // Object ids in ascending order — the explicit sort that aggregation
-  // points use to iterate deterministically over the unordered table.
-  std::vector<ObjectId> SortedObjectIds() const;
+  // Scheme bitmask of the object at `slot` (the scheme fingerprint walk).
+  uint64_t SchemeMaskAt(uint32_t slot) const { return Slot(slot).scheme_mask; }
 
-  // --- Durability (core/checkpoint.h) ---------------------------------
+  // --- Durability (core/checkpoint.h, DESIGN.md §10/§13) ---------------
   //
-  // The snapshot payload is a u64 slot count, one 75-byte record per slot
-  // in slot order, lifetime aggregates, then the degraded registry. The
-  // writer streams it as header / bounded slot ranges / footer so a
-  // checkpoint never materializes the whole shard in memory, and the
-  // reader accepts arbitrary re-chunkings of the stream.
+  // Every snapshot is a *range snapshot*: a u64 slot span and a u32 range
+  // count, then per range a u32 begin, a u32 end and one 75-byte record
+  // per slot of [begin, end), then the footer — lifetime aggregates and
+  // the degraded registry. A full snapshot is the one whose ranges cover
+  // [0, slot_span()); a delta carries only the ranges whose slab pages
+  // were dirtied since the previous checkpoint, so its cost is
+  // proportional to the pages touched, not to the shard. The writer
+  // streams header / bounded ranges / footer, so a checkpoint never
+  // materializes the whole shard in memory.
 
-  // Streaming writer: the slot count, then any partition of
-  // [0, slot_span()) into ranges, then the aggregates + degraded registry.
-  void AppendSnapshotHeader(std::string* out) const;
-  void AppendSnapshotSlots(uint32_t begin, uint32_t end,
-                           std::string* out) const;
+  // Streaming writer: the header naming `range_count` ranges, one
+  // AppendRange per range in ascending order, then the footer.
+  void AppendRangeHeader(uint32_t range_count, std::string* out) const;
+  void AppendRange(uint32_t begin, uint32_t end, std::string* out) const;
   void AppendSnapshotFooter(std::string* out) const;
 
-  // Restores a snapshot into a freshly constructed, still-empty shard built
-  // with the writer's processor count and cost model, one chunk at a time
-  // and in order; `last` marks the final chunk. Chunk boundaries are
-  // arbitrary (a partial slot record is carried to the next call).
-  // Restored slots re-derive their cost constants from (kind, t) via the
-  // same table AddObject reads, so a restored slot is bit-identical to one
-  // that lived through the original run. Every field is range-checked; a
-  // payload that deserializes but violates an invariant (unknown kind,
-  // out-of-range scheme) is rejected as Internal — the caller falls back
-  // to an older checkpoint generation. The owner rebuilds its id directory
-  // from IdAt and owns the duplicate check.
-  util::Status RestoreSnapshotChunk(std::string_view chunk, bool last);
+  // Streaming reader: applies one range snapshot *on top of* the shard's
+  // current state (a freshly constructed shard for a full snapshot, the
+  // parent generation's state for a delta), one chunk at a time and in
+  // order; `last` marks the final chunk, and chunk boundaries are
+  // arbitrary (a partial unit is carried to the next call). BeginRestore
+  // resets the cursor before each snapshot of a chain. The slab grows to
+  // the header's span at once; the serialized slots are overwritten and
+  // the footer replaces the aggregates and the degraded registry. Restored
+  // slots re-derive their cost constants from (kind, t) via the same table
+  // AddObject reads, so a restored slot is bit-identical to one that lived
+  // through the original run. Every field is range-checked; a payload that
+  // deserializes but violates an invariant (unknown kind, out-of-range
+  // scheme) is rejected as Internal — the caller falls back to an older
+  // checkpoint generation. Slots a span grows by must arrive inside the
+  // ranges; the owner, which rebuilds its id directory from IdAt, checks
+  // that (IdAt is -1 for a slot no range filled) and owns the duplicate
+  // check.
+  void BeginRestore();
+  util::Status RestoreChunk(std::string_view chunk, bool last);
 
-  // --- Delta checkpoints (DESIGN.md §13) -------------------------------
-  //
-  // When armed, the shard keeps one dirty bit per slab page, set on every
-  // slot mutation. A delta snapshot serializes only the dirty pages, as
-  // explicit [begin, end) slot ranges with a presence byte per slot
-  // (always 1: every slot below the span is occupied, and a reader
-  // rejects an absent one), followed by the standard aggregate footer —
-  // its cost is proportional to the pages touched since the previous
-  // checkpoint, not to the shard.
-  // Restoring applies a delta *on top of* existing state (the base
-  // snapshot, or an earlier delta), overwriting exactly the serialized
-  // slots and replacing the aggregates and degraded registry.
-
-  // Arms tracking; every existing page starts dirty (the caller is expected
-  // to take a full base snapshot and then ClearDirty).
-  void EnableDirtyTracking();
-  void DisableDirtyTracking();
-  bool dirty_tracking() const { return dirty_tracking_; }
-  // Clears every dirty bit — call only after the checkpoint that captured
-  // them has durably committed.
-  void ClearDirty();
+  // Delta tracking: while armed, the shard keeps one dirty bit per slab
+  // page, set on every slot mutation. Arms (or disarms) tracking with
+  // every page clean — call only once a checkpoint that captured every
+  // page has durably committed.
+  void ResetDirtyTracking(bool armed);
   // The dirty pages as maximal merged [begin, end) slot ranges clipped to
   // slot_span(), ascending.
   void CollectDirtyRanges(
       std::vector<std::pair<uint32_t, uint32_t>>* out) const;
-
-  // Streaming delta writer: header (slot span + range count), one call per
-  // CollectDirtyRanges entry in order, then AppendSnapshotFooter.
-  void AppendDeltaHeader(uint32_t range_count, std::string* out) const;
-  void AppendDeltaRange(uint32_t begin, uint32_t end, std::string* out) const;
-
-  // Streaming delta reader; chunk boundaries are arbitrary (partial units
-  // carry over), `last` marks the final chunk. BeginDeltaRestore resets the
-  // cursor before each delta in a chain.
-  void BeginDeltaRestore();
-  util::Status RestoreDeltaChunk(std::string_view chunk, bool last);
 
  private:
   // One dense slot of the serving engine: the full inline SA/DA machine in
@@ -394,17 +376,8 @@ class ObjectShard {
                       model::CostBreakdown* breakdown,
                       FaultStats* stats) const;
 
-  // Incremental-restore cursor for RestoreSnapshotChunk.
-  struct RestoreProgress {
-    bool header_done = false;
-    bool done = false;
-    uint64_t expected = 0;
-    uint64_t restored = 0;
-    std::string carry;  // partial record spanning a chunk boundary
-  };
-
-  // Incremental-restore cursor for RestoreDeltaChunk.
-  struct DeltaProgress {
+  // Incremental cursor of RestoreChunk.
+  struct RangeRestore {
     bool header_done = false;
     bool done = false;
     uint32_t ranges_total = 0;
@@ -415,16 +388,14 @@ class ObjectShard {
     std::string carry;       // partial unit spanning a chunk boundary
   };
 
-  // The 75-byte slot record shared by full snapshots and deltas: written
-  // field by field, parsed with every field range-checked (Internal on a
-  // record no writer could have produced).
+  // The 75-byte slot record: written field by field, parsed with every
+  // field range-checked (Internal on a record no writer could have
+  // produced).
   void AppendSlotRecord(uint32_t slot, std::string* out) const;
   util::Status ReadSlotRecord(util::PayloadReader* reader,
                               SlotRecord* record) const;
   // Parses the aggregates + degraded registry that close a snapshot.
   util::Status RestoreSnapshotFooter(util::PayloadReader* reader);
-  // Parses one presence-prefixed delta slot unit into absolute `slot`.
-  util::Status RestoreDeltaSlot(uint32_t slot, util::PayloadReader* reader);
 
   // Sets the dirty bit of `slot`'s page; no-op unless tracking is armed.
   void MarkDirty(uint32_t slot) {
@@ -436,7 +407,6 @@ class ObjectShard {
     }
     dirty_words_[word] |= uint64_t{1} << (page & 63);
   }
-  void MarkAllDirty();
 
   int num_processors_;
   model::CostModel cost_model_;
@@ -457,12 +427,10 @@ class ObjectShard {
   util::FlatDirectory<uint32_t> degraded_;
   std::vector<uint32_t> degraded_list_;
 
-  RestoreProgress restore_;
-
   // Delta-checkpoint machinery: one dirty bit per slab page while armed.
   bool dirty_tracking_ = false;
   std::vector<uint64_t> dirty_words_;
-  DeltaProgress delta_restore_;
+  RangeRestore range_restore_;
 };
 
 }  // namespace objalloc::core

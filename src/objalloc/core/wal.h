@@ -60,10 +60,12 @@ enum class WalRecordType : uint8_t {
 };
 
 inline constexpr uint32_t kWalMagic = 0x4c57414f;  // "OAWL"
-// Version 2: checkpoint shard state streams through bounded kShardChunk
-// records. Writers stamp it and readers accept exactly it (no directory of
-// the earlier monolithic-record format was ever deployed).
-inline constexpr uint32_t kDurabilityFormatVersion = 2;
+// Version 3: every checkpoint is a range snapshot under one header naming
+// its parent (0 = full), and the manifest always carries base_sequence.
+// Writers stamp it and readers accept exactly it — the WAL header, every
+// checkpoint and the manifest — so a directory of an earlier format is
+// refused, never half-read.
+inline constexpr uint32_t kDurabilityFormatVersion = 3;
 
 // The immutable service configuration a log (or checkpoint) was written
 // under. Recovery refuses to replay against a mismatched world: shard

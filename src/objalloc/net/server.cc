@@ -14,7 +14,6 @@
 #include <cstring>
 
 #include "objalloc/net/signal_drain.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 
 namespace objalloc::net {
@@ -410,7 +409,7 @@ void Server::HandleStats(Connection* conn, const Frame& frame) {
   wire.control_messages = breakdown.control_messages;
   wire.data_messages = breakdown.data_messages;
   wire.io_ops = breakdown.io_ops;
-  wire.scheme_crc = SchemeCrc();
+  wire.scheme_crc = service_->SchemeCrc();
   wire.durability_state = static_cast<uint8_t>(last_load_.durability);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -427,16 +426,6 @@ void Server::HandleStats(Connection* conn, const Frame& frame) {
   encode_scratch_.clear();
   EncodeStats(wire, &encode_scratch_);
   ReplyOk(conn, frame.type, frame.request_id, encode_scratch_);
-}
-
-uint32_t Server::SchemeCrc() const {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service_->SortedObjectIds()) {
-    const uint64_t mask = service_->StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
 }
 
 util::Status Server::CheckAdmission(const Connection& conn, size_t events,

@@ -241,7 +241,6 @@ class Server {
   void SweepIdle(TimePoint now);
   void DrainAndExit();
   int EpollTimeoutMs(TimePoint now) const;
-  uint32_t SchemeCrc() const;
 
   core::ObjectService* service_;
   ServerOptions options_;

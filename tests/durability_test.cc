@@ -695,59 +695,38 @@ TEST(DurabilityTest, DeltaChainRecoversAtEveryPrefix) {
   }
 }
 
-// Objects are never removed, so every slot below a delta's span is
-// occupied: no writer marks one absent, and every slot a delta appends
-// arrives inside its ranges. A delta that breaks either rule — slot 0 of
-// shard 0 (occupied since the base) marked absent, or a span grown by a
-// slot no range fills — is corrupt: recovery must reject it and fall back
-// to the previous generation, replaying two WALs into the same history.
+// Objects are never removed, so every slot below a snapshot's span is
+// occupied, and every slot a snapshot grows the span by arrives inside its
+// ranges. A snapshot whose header grows shard 0's span by a slot no range
+// fills is corrupt — a delta (parent 1) and a full snapshot (parent 0)
+// alike: recovery must reject it and fall back to the previous generation,
+// replaying two WALs into the same history.
 TEST(DurabilityTest, DeltaWithAnUnoccupiedSlotFallsBack) {
-  const std::string dir = FreshDir("durability_delta_absent");
   const MultiObjectTrace trace = TestTrace(1500);
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  DurabilityOptions durability;
-  durability.delta_chain_limit = 1;
-  StateImage expected;
-  {
-    ObjectService service(trace.num_processors, sc);
-    RegisterObjects(service, trace.num_objects, TestConfig());
-    ASSERT_TRUE(service.EnableDurability(dir, durability).ok());
-    std::span<const MultiObjectEvent> events(trace.events);
-    ASSERT_TRUE(service.ServeBatch(events.first(800)).ok());
-    ASSERT_TRUE(service.Checkpoint().ok());  // generation 2: a delta
-    ASSERT_TRUE(service.ServeBatch(events.subspan(800)).ok());
-    expected = Capture(service);
-  }
-  // Shard 0's delta payload: u64 span, u32 range count, then per range
-  // u32 begin, u32 end and one unit per slot (a presence byte plus the
-  // 75-byte slot record).
-  constexpr size_t kFirstUnit = 8 + 4 + 8;
-  const auto mark_first_slot_absent = [](std::string* shard0) {
-    uint32_t ranges = 0, begin = 0;
-    std::memcpy(&ranges, shard0->data() + 8, 4);
-    std::memcpy(&begin, shard0->data() + 12, 4);
-    ASSERT_GE(ranges, 1u);
-    ASSERT_EQ(begin, 0u);
-    ASSERT_EQ((*shard0)[kFirstUnit], 1) << "the writer marks slots present";
-    (*shard0)[kFirstUnit] = 0;  // absent: no record follows
-    shard0->erase(kFirstUnit + 1, 75);
-  };
-  const auto grow_span_unfilled = [](std::string* shard0) {
-    uint64_t span = 0;
-    std::memcpy(&span, shard0->data(), 8);
-    ++span;
-    std::memcpy(shard0->data(), &span, 8);
-  };
-  CopyDir(dir, dir + "_pristine");
-  for (const auto& corrupt : {std::function<void(std::string*)>(
-                                  mark_first_slot_absent),
-                              std::function<void(std::string*)>(
-                                  grow_span_unfilled)}) {
-    CopyDir(dir + "_pristine", dir);
-    const std::string path = dir + "/" + DeltaCheckpointFileName(2);
+  for (const size_t delta_chain_limit : {size_t{1}, size_t{0}}) {
+    SCOPED_TRACE("delta_chain_limit " + std::to_string(delta_chain_limit));
+    const std::string dir = FreshDir("durability_unfilled_slot");
+    DurabilityOptions durability;
+    durability.delta_chain_limit = delta_chain_limit;
+    StateImage expected;
+    {
+      ObjectService service(trace.num_processors, sc);
+      RegisterObjects(service, trace.num_objects, TestConfig());
+      ASSERT_TRUE(service.EnableDurability(dir, durability).ok());
+      std::span<const MultiObjectEvent> events(trace.events);
+      ASSERT_TRUE(service.ServeBatch(events.first(800)).ok());
+      ASSERT_TRUE(service.Checkpoint().ok());  // generation 2
+      ASSERT_TRUE(service.ServeBatch(events.subspan(800)).ok());
+      expected = Capture(service);
+    }
+    const std::string path =
+        dir + "/" +
+        (delta_chain_limit > 0 ? DeltaCheckpointFileName(2)
+                               : CheckpointFileName(2));
     auto reader = CheckpointReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    ASSERT_TRUE(reader->is_delta());
+    EXPECT_EQ(reader->parent(), delta_chain_limit > 0 ? 1u : 0u);
     std::vector<std::string> payloads(reader->config().num_shards);
     ServiceStateImage state;
     for (;;) {
@@ -760,10 +739,14 @@ TEST(DurabilityTest, DeltaWithAnUnoccupiedSlotFallsBack) {
         payloads[piece.shard].append(piece.bytes);
       }
     }
-    corrupt(&payloads[0]);
+    // Shard 0's range-snapshot payload opens with its u64 slot span.
+    uint64_t span = 0;
+    std::memcpy(&span, payloads[0].data(), 8);
+    ++span;
+    std::memcpy(payloads[0].data(), &span, 8);
     std::string file;
-    BeginDeltaCheckpoint(reader->sequence(), reader->parent(),
-                         reader->config(), &file);
+    BeginCheckpoint(reader->sequence(), reader->parent(), reader->config(),
+                    &file);
     AppendServiceStateRecord(state, &file);
     for (size_t s = 0; s < payloads.size(); ++s) {
       AppendShardChunkRecord(static_cast<uint32_t>(s), /*last=*/true,
@@ -779,6 +762,104 @@ TEST(DurabilityTest, DeltaWithAnUnoccupiedSlotFallsBack) {
     EXPECT_EQ(report.checkpoint_sequence, 1u);
     EXPECT_EQ(report.wal_files_replayed, 2u);
     EXPECT_EQ(Capture(*recovered), expected);
+  }
+}
+
+// --- Format version -----------------------------------------------------
+
+// Readers accept exactly kDurabilityFormatVersion. A file stamped with
+// another version — re-sealed, so framing and CRCs still verify — is
+// refused where it is read: a manifest is treated as corrupt (recovery
+// scans the directory), a checkpoint's generation is unusable (recovery
+// falls back), and a WAL header fails the replay. Scrub flags each file.
+TEST(DurabilityTest, OtherFormatVersionIsRefused) {
+  const std::string dir = FreshDir("durability_version");
+  const MultiObjectTrace trace = TestTrace(1200);
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  StateImage expected;
+  {
+    ObjectService service(trace.num_processors, sc);
+    RegisterObjects(service, trace.num_objects, TestConfig());
+    ASSERT_TRUE(service.EnableDurability(dir).ok());
+    std::span<const MultiObjectEvent> events(trace.events);
+    ASSERT_TRUE(service.ServeBatch(events.first(600)).ok());
+    ASSERT_TRUE(service.Checkpoint().ok());  // generation 2
+    ASSERT_TRUE(service.ServeBatch(events.subspan(600)).ok());
+    expected = Capture(service);
+  }
+  // Every file opens with a record whose payload starts u32 magic, u32
+  // version; rewrite the version and re-frame every record.
+  const auto stamp_version = [](const std::string& path, uint32_t version) {
+    auto bytes = util::ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    util::RecordCursor cursor(*bytes);
+    util::RecordView record;
+    std::string out;
+    bool first = true;
+    while (cursor.Next(&record)) {
+      std::string payload(record.payload);
+      if (first) std::memcpy(payload.data() + 4, &version, 4);
+      first = false;
+      util::AppendRecord(record.type, payload, &out);
+    }
+    ASSERT_TRUE(cursor.status().ok());
+    ASSERT_FALSE(first);
+    ASSERT_TRUE(util::WriteFileAtomic(path, out).ok());
+  };
+  const auto scrub_verdict = [](const std::string& dir,
+                                const std::string& name) {
+    ScrubReport scrub;
+    (void)ObjectService::Scrub(dir, &scrub);
+    for (const ScrubFileReport& file : scrub.files) {
+      if (file.name == name) return file.verdict;
+    }
+    ADD_FAILURE() << name << " missing from the scrub report";
+    return ScrubVerdict::kOk;
+  };
+  ASSERT_EQ(kDurabilityFormatVersion, 3u);
+  CopyDir(dir, dir + "_pristine");
+
+  {
+    SCOPED_TRACE("manifest");
+    CopyDir(dir + "_pristine", dir);
+    stamp_version(dir + "/" + kManifestFileName, 2);
+    EXPECT_EQ(scrub_verdict(dir, kManifestFileName), ScrubVerdict::kCorrupt);
+    RecoveryReport report;
+    auto recovered = ObjectService::Recover(dir, {}, &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(report.manifest_corrupt);
+    EXPECT_EQ(report.checkpoint_sequence, 2u);
+    EXPECT_EQ(Capture(*recovered), expected);
+  }
+  {
+    SCOPED_TRACE("newest checkpoint");
+    CopyDir(dir + "_pristine", dir);
+    stamp_version(dir + "/" + CheckpointFileName(2), 2);
+    EXPECT_EQ(scrub_verdict(dir, CheckpointFileName(2)),
+              ScrubVerdict::kCorrupt);
+    RecoveryReport report;
+    auto recovered = ObjectService::Recover(dir, {}, &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(report.fell_back);
+    EXPECT_EQ(report.checkpoint_sequence, 1u);
+    EXPECT_EQ(report.wal_files_replayed, 2u);
+    bool named = false;
+    for (const std::string& warning : report.warnings) {
+      named |= warning.find("format version 2") != std::string::npos;
+    }
+    EXPECT_TRUE(named) << report.ToString();
+    EXPECT_EQ(Capture(*recovered), expected);
+  }
+  {
+    SCOPED_TRACE("WAL header");
+    CopyDir(dir + "_pristine", dir);
+    stamp_version(dir + "/" + WalFileName(2), 2);
+    EXPECT_EQ(scrub_verdict(dir, WalFileName(2)), ScrubVerdict::kCorrupt);
+    auto recovered = ObjectService::Recover(dir);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_NE(recovered.status().message().find("format version 2"),
+              std::string::npos)
+        << recovered.status().ToString();
   }
 }
 

@@ -21,7 +21,6 @@
 #include "objalloc/net/client.h"
 #include "objalloc/net/server.h"
 #include "objalloc/net/wire.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/status.h"
 #include "objalloc/workload/multi_object.h"
 
@@ -47,16 +46,6 @@ core::ObjectConfig TestConfig() {
   config.initial_scheme = model::ProcessorSet(kSchemeMask);
   config.algorithm = core::AlgorithmKind::kDynamic;
   return config;
-}
-
-uint32_t SchemeCrcOf(const ObjectService& service) {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
 }
 
 // Starts the server on an ephemeral loopback port and runs its loop on a
@@ -276,7 +265,7 @@ TEST(NetServerTest, WireTrafficMatchesInProcessFingerprint) {
 
   EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
   EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
-  EXPECT_EQ(SchemeCrcOf(service), SchemeCrcOf(reference));
+  EXPECT_EQ(service.SchemeCrc(), reference.SchemeCrc());
 }
 
 TEST(NetServerTest, OverloadShedsWithKOverloadedNeverQueues) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "objalloc/core/object_service.h"
+#include "objalloc/util/crc32.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/event_source.h"
 #include "objalloc/workload/trace_io.h"
@@ -410,6 +411,58 @@ TEST(ObjectServiceTest, MixedAlgorithmsAcrossShards) {
     // DA saves at the reader, SA does not; objects stay isolated.
     EXPECT_TRUE(service.StatsFor(1)->scheme.Contains(6));
     EXPECT_FALSE(service.StatsFor(2)->scheme.Contains(6));
+  }
+}
+
+// SchemeCrc is the scheme fingerprint the STATS wire op reports and the
+// benches pin: it must equal the explicit walk — ids ascending, CRC-32 of
+// each id then its scheme mask — at every shard count, also after a fault
+// history has reshaped the schemes, and while batches are in flight.
+TEST(ObjectServiceTest, SchemeCrcEqualsTheSortedPerObjectWalk) {
+  const MultiObjectTrace trace = TestTrace(4000, 77);
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const auto walk = [](const ObjectService& service) {
+    uint32_t crc = 0;
+    for (ObjectId id : service.SortedObjectIds()) {
+      const uint64_t mask = service.StatsFor(id)->scheme.mask();
+      crc = util::Crc32(&id, sizeof(id), crc);
+      crc = util::Crc32(&mask, sizeof(mask), crc);
+    }
+    return crc;
+  };
+  std::span<const MultiObjectEvent> events(trace.events);
+  uint32_t plain_crc = 0, faulty_crc = 0;
+  for (int shards : ShardCounts()) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ScopedThreads threads(2);
+    ObjectService service(trace.num_processors, sc,
+                          ServiceOptions{.num_shards = shards});
+    RegisterObjects(service, trace, TestConfig());
+    EXPECT_EQ(service.SchemeCrc(), walk(service));
+    // Pipelined: the fingerprint fences the in-flight batch first.
+    BatchResult result;
+    BatchTicket ticket;
+    ASSERT_TRUE(service.SubmitBatch(events.first(2000), &result, &ticket).ok());
+    const uint32_t crc = service.SchemeCrc();
+    ASSERT_TRUE(service.WaitBatch(&ticket).ok());
+    EXPECT_EQ(crc, walk(service));
+    if (shards == 1) plain_crc = crc;
+    EXPECT_EQ(crc, plain_crc) << "the fingerprint depends on the sharding";
+
+    FaultInjectorOptions faults;
+    faults.seed = 11;
+    faults.crash_rate = 0.01;
+    faults.recover_rate = 0.05;
+    faults.control_loss_rate = 0.05;
+    ASSERT_TRUE(service.EnableFaults(faults).ok());
+    auto faulty = service.ServeBatch(events.subspan(2000));
+    ASSERT_TRUE(faulty.ok() ||
+                faulty.status().code() == util::StatusCode::kUnavailable);
+    ASSERT_GT(service.fault_stats().crashes, 0);
+    EXPECT_EQ(service.SchemeCrc(), walk(service));
+    if (shards == 1) faulty_crc = service.SchemeCrc();
+    EXPECT_EQ(service.SchemeCrc(), faulty_crc);
+    EXPECT_NE(faulty_crc, plain_crc);
   }
 }
 
